@@ -2,24 +2,22 @@
 //
 // Questions this answers (DESIGN.md experiment index):
 //  * how much work does the paper-faithful O(sigma)-scan-per-level variant
-//    waste versus pre-bucketing the levels once?
-//  * how much smaller is the top-down (memoised) state set than the full
-//    table the bottom-up/parallel variants fill?
+//    waste versus walking each level's entries directly?
 //  * what do fork-join-per-level (executor) vs persistent-threads+barrier
 //    (SPMD) cost in wall time at various thread counts?
-//  * how much faster is the level-aware kernel (walker iteration + level
-//    pruning + values-only probes) than the pre-optimisation baseline
-//    (indexed iteration, unpruned scans, choices everywhere)?
-//  * what do the vectorised fits-test kernels (SWAR/AVX2/AVX-512) buy over
-//    the scalar scan on identical single-threaded bottom-up runs?
+//  * what does the AVX2 fits-test kernel buy over SWAR on identical
+//    single-threaded bottom-up runs?
 //
-// `--json <path>` additionally dumps the per-family numbers, the
-// baseline-vs-new kernel comparison, and the SIMD kernel shootout as a
-// pcmax.ablation.v2 document (BENCH_dp_kernel.json in the repo root is a
-// tracked snapshot). v2 over v1: every variant entry carries the resolved
-// `kernel` name plus `simd_blocks_mean`, and the root gains
-// `host_best_kernel`, per-family `simd_kernels` arrays, and
-// `simd_comparison_aggregate` (SWAR vs AVX2 totals).
+// `--json <path>` additionally dumps the per-family numbers and the SIMD
+// kernel shootout as a pcmax.ablation.v3 document. v3 over v2: the
+// top-down variant row, the scalar/AVX-512 shootout rows and the
+// pre-optimisation `kernel_comparison` sections are gone with the code
+// paths they measured; BENCH_dp_kernel.json in the repo root is the
+// tracked v2 snapshot that still holds those numbers. v2 over v1: every
+// variant entry carries the resolved `kernel` name plus
+// `simd_blocks_mean`, and the root gains `host_best_kernel`, per-family
+// `simd_kernels` arrays, and `simd_comparison_aggregate` (SWAR vs AVX2
+// totals).
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -44,10 +42,6 @@ struct VariantSpec {
   unsigned threads;
   DpKernel kernel = DpKernel::kGlobalConfigs;
   unsigned speculation = 1;
-  // Level-aware kernel knobs; the defaults are the optimised fast path.
-  LevelIteration iteration = LevelIteration::kWalker;
-  LevelPruning pruning = LevelPruning::kOn;
-  bool values_only_probes = true;
 };
 
 struct VariantStats {
@@ -86,9 +80,6 @@ VariantStats run_variant(const VariantSpec& variant, InstanceFamily family,
     options.spmd_threads = variant.threads;
     options.kernel = variant.kernel;
     options.speculation = variant.speculation;
-    options.iteration = variant.iteration;
-    options.pruning = variant.pruning;
-    options.values_only_probes = variant.values_only_probes;
     std::unique_ptr<Executor> executor;
     if (variant.engine == DpEngine::kParallelScan ||
         variant.engine == DpEngine::kParallelBucketed) {
@@ -155,9 +146,6 @@ int main(int argc, char** argv) {
       {"bottom-up, paper kernel", DpEngine::kBottomUp, 1,
        DpKernel::kPerEntryEnum},
       {"bottom-up, global kernel", DpEngine::kBottomUp, 1},
-      // State-coverage ablation: memoised top-down touches only reachable
-      // entries, the others fill the whole table.
-      {"top-down (seq)", DpEngine::kTopDown, 1},
       // Parallelisation-strategy ablation (real threads).
       {"scan/level x2", DpEngine::kParallelScan, 2},
       {"bucketed x2", DpEngine::kParallelBucketed, 2},
@@ -170,17 +158,6 @@ int main(int argc, char** argv) {
        DpKernel::kGlobalConfigs, 4},
   };
 
-  // Baseline-vs-new kernel comparison (single-threaded so it measures
-  // per-entry work, not parallel speedup): the baseline spec reproduces the
-  // pre-optimisation path end to end.
-  const VariantSpec kernel_baseline{
-      "bucketed x1, baseline kernel", DpEngine::kParallelBucketed, 1,
-      DpKernel::kGlobalConfigs,       1,
-      LevelIteration::kIndexed,       LevelPruning::kOff,
-      /*values_only_probes=*/false};
-  const VariantSpec kernel_new{
-      "bucketed x1, level-aware kernel", DpEngine::kParallelBucketed, 1};
-
   std::cout << "=== DP-variant ablation: m=" << m << ", n=" << n
             << ", eps=" << epsilon << ", trials=" << trials << " ===\n"
             << "entries/scans are summed over all bisection probes; times are\n"
@@ -191,20 +168,15 @@ int main(int argc, char** argv) {
   // per-entry scan cost. Only kernels the host can actually run are raced
   // (a forced-but-unsupported kernel would silently measure its fallback).
   std::vector<VariantSpec> simd_variants = {
-      {"bottom-up x1, scalar", DpEngine::kBottomUp, 1, DpKernel::kScalar},
       {"bottom-up x1, swar", DpEngine::kBottomUp, 1, DpKernel::kSwar},
   };
   if (dp_kernel_supported(DpKernel::kAvx2)) {
     simd_variants.push_back(
         {"bottom-up x1, avx2", DpEngine::kBottomUp, 1, DpKernel::kAvx2});
   }
-  if (dp_kernel_supported(DpKernel::kAvx512)) {
-    simd_variants.push_back(
-        {"bottom-up x1, avx512", DpEngine::kBottomUp, 1, DpKernel::kAvx512});
-  }
 
   JsonValue root = JsonValue::make_object();
-  root["schema"] = "pcmax.ablation.v2";
+  root["schema"] = "pcmax.ablation.v3";
   {
     JsonValue params = JsonValue::make_object();
     params["m"] = m;
@@ -216,9 +188,6 @@ int main(int argc, char** argv) {
   }
   root["host_best_kernel"] = dp_kernel_name(select_best_kernel());
   JsonValue families_json = JsonValue::make_array();
-  JsonValue comparison_json = JsonValue::make_array();
-  double baseline_total = 0.0;
-  double optimised_total = 0.0;
   double swar_total = 0.0;
   double avx2_total = 0.0;
 
@@ -239,31 +208,6 @@ int main(int argc, char** argv) {
       variants_json.append(stats_to_json(variant.label, stats));
     }
     std::cout << family_name(family) << ":\n" << table.to_string() << "\n";
-
-    // Kernel comparison on this family: same machine, same run, same
-    // instances; makespans must agree exactly (the kernel is bit-compatible).
-    const VariantStats baseline =
-        run_variant(kernel_baseline, family, m, n, trials, seed, epsilon);
-    const VariantStats optimised =
-        run_variant(kernel_new, family, m, n, trials, seed, epsilon);
-    const double speedup = optimised.seconds.mean() > 0.0
-                               ? baseline.seconds.mean() / optimised.seconds.mean()
-                               : 0.0;
-    baseline_total += baseline.seconds.mean();
-    optimised_total += optimised.seconds.mean();
-    std::cout << "kernel comparison (" << family_name(family)
-              << "): baseline " << TablePrinter::fmt(baseline.seconds.mean(), 4)
-              << "s vs level-aware "
-              << TablePrinter::fmt(optimised.seconds.mean(), 4) << "s => "
-              << TablePrinter::fmt(speedup, 2) << "x\n\n";
-    JsonValue pair = JsonValue::make_object();
-    pair["family"] = family_name(family);
-    pair["baseline"] = stats_to_json(kernel_baseline.label, baseline);
-    pair["level_aware"] = stats_to_json(kernel_new.label, optimised);
-    pair["speedup"] = speedup;
-    pair["makespans_match"] =
-        baseline.makespan.mean() == optimised.makespan.mean();
-    comparison_json.append(std::move(pair));
 
     // SIMD kernel shootout on the same instances. Compared on DP seconds:
     // rounding, bounds, and config enumeration are kernel-independent and
@@ -290,22 +234,6 @@ int main(int argc, char** argv) {
     families_json.append(std::move(family_json));
   }
   root["families"] = std::move(families_json);
-  root["kernel_comparison"] = std::move(comparison_json);
-  {
-    // Total solve time over all families in this run: the headline number
-    // (per-family ratios on the fastest families are noise-bound).
-    const double aggregate =
-        optimised_total > 0.0 ? baseline_total / optimised_total : 0.0;
-    JsonValue agg = JsonValue::make_object();
-    agg["baseline_seconds_total"] = baseline_total;
-    agg["level_aware_seconds_total"] = optimised_total;
-    agg["speedup"] = aggregate;
-    root["kernel_comparison_aggregate"] = std::move(agg);
-    std::cout << "kernel comparison (aggregate over families): "
-              << TablePrinter::fmt(baseline_total, 4) << "s vs "
-              << TablePrinter::fmt(optimised_total, 4) << "s => "
-              << TablePrinter::fmt(aggregate, 2) << "x\n\n";
-  }
   {
     // SWAR-vs-AVX2 aggregate over DP seconds: the headline vectorisation
     // number. avx2 totals stay 0 (speedup 0) on hosts without AVX2.

@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the DP kernels: state-space encode/
 // decode, level computation/iteration, configuration enumeration, full DP
-// fills (old and new kernel paths), and the executor chunk-size sweep that
+// fills and probes, and the executor chunk-size sweep that
 // justifies the constants in dp_parallel.cpp.
 //
 // Provides its own main (targets.cmake NO_MAIN): on top of the standard
@@ -137,66 +137,27 @@ void BM_DpBottomUp(benchmark::State& state) {
 }
 BENCHMARK(BM_DpBottomUp);
 
-void BM_DpTopDown(benchmark::State& state) {
-  const RoundedInstance rounded = fixture_rounded();
+// --- values-only probe on the paper-scale fixture --------------------------
+// One bisection probe as the parallel PTAS runs it: bucketed walker sweep,
+// level-pruned scan, values-only table. BENCH_dp_kernel.json holds the
+// numbers of the pre-optimisation kernel this path replaced.
+
+void BM_DpProbe(benchmark::State& state) {
+  const RoundedInstance rounded = paper_scale_rounded();
   const StateSpace space(rounded.class_count, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dp_top_down(rounded, space, configs));
-  }
-}
-BENCHMARK(BM_DpTopDown);
-
-// --- kernel ablation on the paper-scale fixture -----------------------------
-// "baseline" reproduces the pre-optimisation path (indexed iteration, no
-// level pruning, values+choices everywhere); "new" is the current fast path
-// (walker iteration, level pruning, values-only probe tables). The tracked
-// BENCH_dp_kernel.json compares the same pair through the full PTAS driver.
-
-void dp_probe_args(ParallelDpOptions& options, bool baseline) {
+  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
+  ParallelDpOptions options;
+  options.executor = &executor;
   options.variant = ParallelDpVariant::kBucketed;
-  if (baseline) {
-    options.iteration = LevelIteration::kIndexed;
-    options.pruning = LevelPruning::kOff;
-    options.table_mode = DpTableMode::kValuesAndChoices;
-  } else {
-    options.iteration = LevelIteration::kWalker;
-    options.pruning = LevelPruning::kOn;
-    options.table_mode = DpTableMode::kValuesOnly;
-  }
-}
-
-void BM_DpProbeBaselineKernel(benchmark::State& state) {
-  const RoundedInstance rounded = paper_scale_rounded();
-  const StateSpace space(rounded.class_count, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
-  ParallelDpOptions options;
-  options.executor = &executor;
-  dp_probe_args(options, /*baseline=*/true);
+  options.table_mode = DpTableMode::kValuesOnly;
   for (auto _ : state) {
     benchmark::DoNotOptimize(dp_parallel(rounded, space, configs, options));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(space.size()));
 }
-BENCHMARK(BM_DpProbeBaselineKernel)->Arg(1)->Arg(2);
-
-void BM_DpProbeNewKernel(benchmark::State& state) {
-  const RoundedInstance rounded = paper_scale_rounded();
-  const StateSpace space(rounded.class_count, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
-  ParallelDpOptions options;
-  options.executor = &executor;
-  dp_probe_args(options, /*baseline=*/false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dp_parallel(rounded, space, configs, options));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(space.size()));
-}
-BENCHMARK(BM_DpProbeNewKernel)->Arg(1)->Arg(2);
+BENCHMARK(BM_DpProbe)->Arg(1)->Arg(2);
 
 void BM_DpParallelBucketed(benchmark::State& state) {
   const RoundedInstance rounded = fixture_rounded();

@@ -563,7 +563,12 @@ int main(int argc, char** argv) {
   ServiceOptions flood;
   flood.shards = shards;
   flood.workers = workers;
-  flood.queue_capacity = heavy_pool.size() + 1;  // never block, never shed
+  // Each shard's queue is a 1/shards slice of queue_capacity, and a shard
+  // whose queue depth reaches its slice degrades dispatches to the lite
+  // tier ("queue-saturated"). Size every slice for the whole pool: never
+  // block, never degrade, never shed.
+  flood.queue_capacity =
+      (heavy_pool.size() + 1) * std::max(1u, shards);
   flood.cache_capacity = 4096;
   flood.epsilon = heavy_epsilon;
   std::vector<SolveResponse> on_responses;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 #include <limits>
-#include <optional>
 #include <thread>
 
 #include "algo/ptas/dp_chunk_graph.hpp"
@@ -25,14 +24,6 @@ std::string parallel_dp_variant_name(ParallelDpVariant variant) {
   throw InvalidArgumentError("unknown parallel DP variant");
 }
 
-std::string level_iteration_name(LevelIteration iteration) {
-  switch (iteration) {
-    case LevelIteration::kWalker: return "walker";
-    case LevelIteration::kIndexed: return "indexed";
-  }
-  throw InvalidArgumentError("unknown level iteration");
-}
-
 std::string dp_sync_mode_name(DpSyncMode mode) {
   switch (mode) {
     case DpSyncMode::kBarrier: return "barrier";
@@ -51,32 +42,24 @@ namespace {
 // so the chunk choice trades claim overhead against tail imbalance on the
 // narrow anti-diagonals (paper-scale widths average ~120 entries).
 //
-//  * kLevelComputeChunk — compute_levels runs under LoopSchedule::kStatic,
-//    where the executor ignores the chunk argument and splits the range
-//    contiguously per worker (see ThreadPool::parallel_for_ranges). The
-//    constant exists so the call site documents that explicitly instead of
-//    passing a magic 1.
+//  * kStaticChunk — compute_levels and the bucketed sweep run under
+//    LoopSchedule::kStatic, where the executor ignores the chunk argument
+//    and splits the range contiguously per worker (see
+//    ThreadPool::parallel_for_ranges). The constant exists so the call
+//    sites document that explicitly instead of passing a magic 1.
 //  * kScanChunk — in the scan-per-level sweep most indices of a claimed
 //    chunk fail the `levels[i] == level` filter, so a dynamic claim must
 //    cover enough raw indices that the shared-counter fetch_add is
 //    amortised over the few entries actually processed; at 64 the claim
 //    overhead is ~1% of even a SWAR-fast entry's scan.
-//  * kBucketChunk — in the bucketed indexed sweep every claimed slot is a
-//    full config scan. 16 caps the per-worker tail imbalance at 16 slots
-//    (~13% of an average level, vs >50% at 64) and costs ~5% claim
-//    overhead relative to the ~24 ns SWAR-kernel entries; larger chunks
-//    only help once levels are much wider than paper scale. (The walker
-//    path uses a static block split and never consults this constant.)
-constexpr std::size_t kLevelComputeChunk = 1;
+constexpr std::size_t kStaticChunk = 1;
 constexpr std::size_t kScanChunk = 64;
-constexpr std::size_t kBucketChunk = 16;
 
 // Chunk-size clamp of the kCounters graph sweep. The nominal target splits
 // the *widest* anti-diagonal into ~4 chunks per worker (steal slack without
 // excessive graph size); the floor keeps one-entry tail levels from turning
 // into per-entry tasks whose spawn cost dwarfs a ~24 ns kernel entry, and
-// the ceiling bounds tail imbalance the same way kBucketChunk does for the
-// dynamic schedule.
+// the ceiling caps the tail imbalance a single oversized chunk can cause.
 constexpr std::size_t kCounterChunkMin = 16;
 constexpr std::size_t kCounterChunkMax = 256;
 
@@ -114,29 +97,8 @@ std::vector<std::int32_t> compute_levels(const StateSpace& space, Executor& exec
           }
         }
       },
-      LoopSchedule::kStatic, kLevelComputeChunk, cancel);
+      LoopSchedule::kStatic, kStaticChunk, cancel);
   return levels;
-}
-
-LevelIndex build_level_index(const StateSpace& space,
-                             const std::vector<std::int32_t>& levels) {
-  PCMAX_CHECK(levels.size() == space.size(), "level array has wrong size");
-  const auto level_count = static_cast<std::size_t>(space.max_level()) + 1;
-  LevelIndex index;
-  index.level_begin.assign(level_count + 1, 0);
-  for (std::int32_t l : levels) {
-    ++index.level_begin[static_cast<std::size_t>(l) + 1];
-  }
-  for (std::size_t l = 1; l <= level_count; ++l) {
-    index.level_begin[l] += index.level_begin[l - 1];
-  }
-  index.order.resize(space.size());
-  std::vector<std::size_t> cursor(index.level_begin.begin(),
-                                  index.level_begin.end() - 1);
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    index.order[cursor[static_cast<std::size_t>(levels[i])]++] = i;
-  }
-  return index;
 }
 
 namespace {
@@ -163,18 +125,6 @@ void publish_run(obs::DpRunRecorder& recorder,
   recorder.finish();
 }
 
-/// Hides part of the next entry's predecessor-gather latency: touch the
-/// cache line of its densest predecessor (smallest encoded offset) while
-/// the current entry's scan is still in flight. `first_offset` 0 means "no
-/// configs" and disables the prefetch.
-inline void prefetch_first_predecessor(std::size_t next_index,
-                                       std::size_t first_offset,
-                                       const std::int32_t* values) {
-  if (first_offset != 0 && first_offset <= next_index) {
-    __builtin_prefetch(values + (next_index - first_offset));
-  }
-}
-
 /// Number of entries on each anti-diagonal, from the precomputed level
 /// array. Only evaluated when a collector is installed.
 std::vector<std::uint64_t> level_widths(const StateSpace& space,
@@ -186,13 +136,11 @@ std::vector<std::uint64_t> level_widths(const StateSpace& space,
 }
 
 /// Computes one table entry from its flat index, digits, and level (shared
-/// by all variants; the digits come from a walker, an odometer, or a decode
-/// depending on the iteration mode).
+/// by all variants; the digits come from a walker or an odometer).
 inline void process_entry(std::size_t index, std::span<const int> v, int level,
                           const RoundedInstance& rounded, const StateSpace& space,
                           const ConfigSet& configs, DpKernel kernel,
-                          LevelPruning pruning, DpTable& table,
-                          WorkerCounters& counters) {
+                          DpTable& table, WorkerCounters& counters) {
   if (index == 0) {
     table.set(0, 0, DpTable::kNoChoice);  // OPT(0,...,0) = 0
     ++counters.entries;
@@ -203,28 +151,15 @@ inline void process_entry(std::size_t index, std::span<const int> v, int level,
           ? compute_entry_enumerated(index, v, rounded, space,
                                      table.values_data(), counters.scan.scans)
           : compute_entry(index, v, level, configs, table.values_data(),
-                          counters.scan, pruning, kernel);
+                          counters.scan, kernel);
   table.set(index, entry.value, entry.choice);
   ++counters.entries;
 }
 
-/// Decode-based wrapper of process_entry for the kIndexed paths, where the
-/// entry arrives as a bare flat index out of the LevelIndex gather.
-inline void process_index(std::size_t index, int level,
-                          const RoundedInstance& rounded, const StateSpace& space,
-                          const ConfigSet& configs, DpKernel kernel,
-                          LevelPruning pruning, DpTable& table,
-                          std::vector<int>& digits, WorkerCounters& counters) {
-  if (index != 0) space.decode(index, digits);
-  process_entry(index, digits, level, rounded, space, configs, kernel, pruning,
-                table, counters);
-}
-
 void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
                         const ConfigSet& configs, DpKernel kernel,
-                        LevelPruning pruning, Executor& executor,
-                        LoopSchedule schedule, const CancellationToken& cancel,
-                        DpRun& run) {
+                        Executor& executor, LoopSchedule schedule,
+                        const CancellationToken& cancel, DpRun& run) {
   const std::vector<std::int32_t> levels = compute_levels(space, executor, cancel);
   const unsigned workers = executor.concurrency();
   std::vector<WorkerCounters> counters(workers);
@@ -264,7 +199,7 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
                 tracking = true;
               }
               process_entry(i, digits, level, rounded, space, configs, kernel,
-                            pruning, run.table, counters[worker]);
+                            run.table, counters[worker]);
             }
             if (tracking && i + 1 < end) {
               for (std::size_t d = digits.size(); d-- > 0;) {
@@ -286,111 +221,55 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
 }
 
 void run_bucketed(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, DpKernel kernel,
-                  LevelIteration iteration, LevelPruning pruning,
-                  Executor& executor, LoopSchedule schedule,
+                  const ConfigSet& configs, DpKernel kernel, Executor& executor,
                   const CancellationToken& cancel, DpRun& run) {
   const unsigned workers = executor.concurrency();
   std::vector<WorkerCounters> counters(workers);
-
-  obs::DpRunRecorder recorder(
-      "bucketed",
-      iteration == LevelIteration::kWalker ? "block" : loop_schedule_name(schedule),
-      space.size(), space.max_level() + 1);
+  obs::DpRunRecorder recorder("bucketed", "block", space.size(),
+                              space.max_level() + 1);
   const bool armed = cancel.valid();
 
-  if (iteration == LevelIteration::kWalker) {
-    // Fast path: no level array, no counting sort, no index gather. Workers
-    // seek straight to their rank slice of each anti-diagonal and walk it
-    // with the composition odometer. The walk is only O(1)-per-entry over
-    // a *contiguous* rank range, so this path always uses the static block
-    // decomposition (one seek per worker per level) regardless of the
-    // requested schedule — entries of one level are uniform-cost, so there
-    // is nothing for dynamic/round-robin balancing to win. This mirrors the
-    // SPMD walker split; the recorder reports the schedule as "block".
-    LevelWalker proto(space);
-    std::vector<LevelWalker> walkers(workers, proto);
-    for (int level = 0; level <= space.max_level(); ++level) {
-      fault_hit("dp.level");
-      if (armed) cancel.check();
-      const std::uint64_t width = proto.level_size(level);
-      const std::uint64_t level_t0 = recorder.level_begin();
-      executor.parallel_for_ranges(
-          static_cast<std::size_t>(width),
-          [&](std::size_t begin, std::size_t end, unsigned worker) {
-            CancelCheck range_check(cancel, kCancelPollPeriod);
-            LevelWalker& walker = walkers[worker];
-            walker.seek(level, begin);
-            for (std::size_t rank = begin; rank < end; ++rank) {
-              if (armed) range_check.poll();
-              process_entry(walker.index(), walker.digits(), level, rounded,
-                            space, configs, kernel, pruning, run.table,
-                            counters[worker]);
-              if (rank + 1 < end) walker.next();
-            }
-          },
-          LoopSchedule::kStatic, kBucketChunk, cancel);
-      recorder.level_end(level, width, level_t0);
-    }
-  } else {
-    const std::vector<std::int32_t> levels =
-        compute_levels(space, executor, cancel);
-    const LevelIndex index = build_level_index(space, levels);
-    const std::size_t first_offset =
-        configs.count() > 0 ? configs.offsets[0] : 0;
-    std::vector<std::vector<int>> scratch(
-        workers, std::vector<int>(static_cast<std::size_t>(space.dims())));
-    for (int level = 0; level <= space.max_level(); ++level) {
-      fault_hit("dp.level");
-      if (armed) cancel.check();
-      const std::size_t begin = index.level_begin[static_cast<std::size_t>(level)];
-      const std::size_t end = index.level_begin[static_cast<std::size_t>(level) + 1];
-      const std::uint64_t level_t0 = recorder.level_begin();
-      executor.parallel_for_ranges(
-          end - begin,
-          [&](std::size_t slot_begin, std::size_t slot_end, unsigned worker) {
-            CancelCheck range_check(cancel, kCancelPollPeriod);
-            for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
-              if (armed) range_check.poll();
-              if (slot + 1 < slot_end) {
-                prefetch_first_predecessor(index.order[begin + slot + 1],
-                                           first_offset,
-                                           run.table.values_data());
-              }
-              process_index(index.order[begin + slot], level, rounded, space,
-                            configs, kernel, pruning, run.table,
-                            scratch[worker], counters[worker]);
-            }
-          },
-          schedule, kBucketChunk, cancel);
-      recorder.level_end(level, end - begin, level_t0);
-    }
+  // Workers seek straight to their rank slice of each anti-diagonal and
+  // walk it with the composition odometer. The walk is only O(1)-per-entry
+  // over a *contiguous* rank range, so this sweep always uses the static
+  // block decomposition (one seek per worker per level) — entries of one
+  // level are uniform-cost, so there is nothing for dynamic/round-robin
+  // balancing to win. This mirrors the SPMD split; the recorder reports
+  // "block".
+  LevelWalker proto(space);
+  std::vector<LevelWalker> walkers(workers, proto);
+  for (int level = 0; level <= space.max_level(); ++level) {
+    fault_hit("dp.level");
+    if (armed) cancel.check();
+    const std::uint64_t width = proto.level_size(level);
+    const std::uint64_t level_t0 = recorder.level_begin();
+    executor.parallel_for_ranges(
+        static_cast<std::size_t>(width),
+        [&](std::size_t begin, std::size_t end, unsigned worker) {
+          CancelCheck range_check(cancel, kCancelPollPeriod);
+          LevelWalker& walker = walkers[worker];
+          walker.seek(level, begin);
+          for (std::size_t rank = begin; rank < end; ++rank) {
+            if (armed) range_check.poll();
+            process_entry(walker.index(), walker.digits(), level, rounded,
+                          space, configs, kernel, run.table, counters[worker]);
+            if (rank + 1 < end) walker.next();
+          }
+        },
+        LoopSchedule::kStatic, kStaticChunk, cancel);
+    recorder.level_end(level, width, level_t0);
   }
   publish_run(recorder, counters, run);
 }
 
 void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
-              const ConfigSet& configs, DpKernel kernel,
-              LevelIteration iteration, LevelPruning pruning,
-              unsigned num_threads, const CancellationToken& cancel, DpRun& run) {
-  // The indexed baseline precomputes the level array and bucket order once
-  // (sequentially — SPMD owns its threads); the walker path needs neither.
-  std::vector<std::int32_t> levels;
-  LevelIndex index;
-  if (iteration == LevelIteration::kIndexed) {
-    SequentialExecutor seq;
-    levels = compute_levels(space, seq, cancel);
-    index = build_level_index(space, levels);
-  }
-
+              const ConfigSet& configs, DpKernel kernel, unsigned num_threads,
+              const CancellationToken& cancel, DpRun& run) {
   Barrier barrier(num_threads);
   std::vector<WorkerCounters> counters(num_threads);
-  // Walker workers own a contiguous rank block of each level ("block");
-  // the indexed baseline keeps the paper's round-robin slotting.
-  obs::DpRunRecorder recorder(
-      "spmd",
-      iteration == LevelIteration::kWalker ? "block" : "round-robin",
-      space.size(), space.max_level() + 1);
+  // Every worker owns a contiguous rank block of each level ("block").
+  obs::DpRunRecorder recorder("spmd", "block", space.size(),
+                              space.max_level() + 1);
 
   // Barrier-safe stop protocol. A worker that observes a stop request must
   // NOT leave its level loop unilaterally — its peers would wait at the
@@ -409,9 +288,7 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
   std::exception_ptr stop_error;  // written by worker 0 only
 
   auto worker_fn = [&](unsigned worker) {
-    std::vector<int> digits(static_cast<std::size_t>(space.dims()));
-    std::optional<LevelWalker> walker;
-    if (iteration == LevelIteration::kWalker) walker.emplace(space);
+    LevelWalker walker(space);
     for (int level = 0; level <= space.max_level(); ++level) {
       if (level > stop_after.load(std::memory_order_relaxed)) break;
       if (worker == 0) {
@@ -430,7 +307,6 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
       // Worker 0 (the orchestrating thread) owns the level samples; timing
       // spans its own work plus the wait for the slowest peer.
       const std::uint64_t level_t0 = worker == 0 ? recorder.level_begin() : 0;
-      std::uint64_t width = 0;
       std::uint32_t since_poll = 0;
       auto polled_stop = [&] {
         if (!armed || ++since_poll < kCancelPollPeriod) return false;
@@ -441,30 +317,17 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
         }
         return false;
       };
-      if (walker) {
-        // Contiguous block split of the level's rank range across threads.
-        width = walker->level_size(level);
-        const std::uint64_t begin = width * worker / num_threads;
-        const std::uint64_t end = width * (worker + 1) / num_threads;
-        if (begin < end) {
-          walker->seek(level, begin);
-          for (std::uint64_t rank = begin; rank < end; ++rank) {
-            if (polled_stop()) break;
-            process_entry(walker->index(), walker->digits(), level, rounded,
-                          space, configs, kernel, pruning, run.table,
-                          counters[worker]);
-            if (rank + 1 < end) walker->next();
-          }
-        }
-      } else {
-        const std::size_t begin = index.level_begin[static_cast<std::size_t>(level)];
-        const std::size_t end = index.level_begin[static_cast<std::size_t>(level) + 1];
-        width = end - begin;
-        // Round-robin slotting of this level's entries across the P threads.
-        for (std::size_t slot = begin + worker; slot < end; slot += num_threads) {
+      // Contiguous block split of the level's rank range across threads.
+      const std::uint64_t width = walker.level_size(level);
+      const std::uint64_t begin = width * worker / num_threads;
+      const std::uint64_t end = width * (worker + 1) / num_threads;
+      if (begin < end) {
+        walker.seek(level, begin);
+        for (std::uint64_t rank = begin; rank < end; ++rank) {
           if (polled_stop()) break;
-          process_index(index.order[slot], level, rounded, space, configs,
-                        kernel, pruning, run.table, digits, counters[worker]);
+          process_entry(walker.index(), walker.digits(), level, rounded, space,
+                        configs, kernel, run.table, counters[worker]);
+          if (rank + 1 < end) walker.next();
         }
       }
       if (worker == 0 && stop_pending.load(std::memory_order_relaxed)) {
@@ -491,7 +354,6 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
 
 void run_counters(const RoundedInstance& rounded, const StateSpace& space,
                   const ConfigSet& configs, DpKernel kernel,
-                  LevelIteration iteration, LevelPruning pruning,
                   WorkStealingPool& pool, const CancellationToken& cancel,
                   DpRun& run, const char* variant) {
   const unsigned workers = pool.size();
@@ -507,17 +369,6 @@ void run_counters(const RoundedInstance& rounded, const StateSpace& space,
                  kCounterChunkMin, kCounterChunkMax);
   const DpChunkGraph graph = build_chunk_graph(space, target);
 
-  // kIndexed baseline inputs, computed sequentially (the pool owns the
-  // threads; per-level slot order equals walker rank order because the
-  // counting sort emits each level's indices ascending).
-  std::vector<std::int32_t> levels;
-  LevelIndex index;
-  if (iteration == LevelIteration::kIndexed) {
-    SequentialExecutor seq;
-    levels = compute_levels(space, seq, cancel);
-    index = build_level_index(space, levels);
-  }
-
   obs::DpRunRecorder recorder(variant, "graph", space.size(),
                               space.max_level() + 1);
 
@@ -532,8 +383,6 @@ void run_counters(const RoundedInstance& rounded, const StateSpace& space,
 
   const bool armed = cancel.valid();
   std::vector<LevelWalker> walkers(workers, proto);
-  std::vector<std::vector<int>> scratch(
-      workers, std::vector<int>(static_cast<std::size_t>(space.dims())));
 
   auto body = [&](std::uint32_t id, WorkStealingPool::TaskContext& ctx) {
     const DpChunk& chunk = graph.chunks[id];
@@ -541,31 +390,13 @@ void run_counters(const RoundedInstance& rounded, const StateSpace& space,
     WorkerCounters& wc = counters[worker];
     fault_hit("dp.chunk");
     CancelCheck range_check(cancel, kCancelPollPeriod);
-    if (iteration == LevelIteration::kWalker) {
-      LevelWalker& walker = walkers[worker];
-      walker.seek(chunk.level, chunk.rank_begin);
-      for (std::uint64_t rank = chunk.rank_begin; rank < chunk.rank_end;
-           ++rank) {
-        if (armed) range_check.poll();
-        process_entry(walker.index(), walker.digits(), chunk.level, rounded,
-                      space, configs, kernel, pruning, run.table, wc);
-        if (rank + 1 < chunk.rank_end) walker.next();
-      }
-    } else {
-      const std::size_t base =
-          index.level_begin[static_cast<std::size_t>(chunk.level)];
-      const std::size_t first_offset =
-          configs.count() > 0 ? configs.offsets[0] : 0;
-      for (std::uint64_t rank = chunk.rank_begin; rank < chunk.rank_end;
-           ++rank) {
-        if (armed) range_check.poll();
-        if (rank + 1 < chunk.rank_end) {
-          prefetch_first_predecessor(index.order[base + rank + 1],
-                                     first_offset, run.table.values_data());
-        }
-        process_index(index.order[base + rank], chunk.level, rounded, space,
-                      configs, kernel, pruning, run.table, scratch[worker], wc);
-      }
+    LevelWalker& walker = walkers[worker];
+    walker.seek(chunk.level, chunk.rank_begin);
+    for (std::uint64_t rank = chunk.rank_begin; rank < chunk.rank_end; ++rank) {
+      if (armed) range_check.poll();
+      process_entry(walker.index(), walker.digits(), chunk.level, rounded,
+                    space, configs, kernel, run.table, wc);
+      if (rank + 1 < chunk.rank_end) walker.next();
     }
     // Publication chain of the table writes above: the acq_rel decrement
     // makes them visible to whichever worker performs the final decrement,
@@ -597,7 +428,7 @@ void run_counters(const RoundedInstance& rounded, const StateSpace& space,
 DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
                   const ConfigSet& configs, const ParallelDpOptions& options) {
   const DpKernel kernel = resolve_dp_kernel(options.kernel);
-  DpRun run{DpTable(space.size(), options.table_mode, options.table_alloc),
+  DpRun run{DpTable(space.size(), options.table_mode),
             DpTable::kInfeasible, DpStats{}};
   run.stats.table_size = space.size();
   run.stats.config_count = configs.count();
@@ -610,9 +441,8 @@ DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
                     "scan-per-level variant needs an executor");
       PCMAX_REQUIRE(options.sync_mode == DpSyncMode::kBarrier,
                     "scan-per-level supports only barrier sync");
-      run_scan_per_level(rounded, space, configs, kernel,
-                         options.pruning, *options.executor, options.schedule,
-                         options.cancel, run);
+      run_scan_per_level(rounded, space, configs, kernel, *options.executor,
+                         options.schedule, options.cancel, run);
       break;
     case ParallelDpVariant::kBucketed:
       PCMAX_REQUIRE(options.executor != nullptr, "bucketed variant needs an executor");
@@ -620,12 +450,10 @@ DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
         auto* ws = dynamic_cast<WorkStealingExecutor*>(options.executor);
         PCMAX_REQUIRE(ws != nullptr,
                       "counters sync needs the work-stealing executor");
-        run_counters(rounded, space, configs, kernel, options.iteration,
-                     options.pruning, ws->pool(), options.cancel, run,
-                     "bucketed-counters");
+        run_counters(rounded, space, configs, kernel, ws->pool(),
+                     options.cancel, run, "bucketed-counters");
       } else {
-        run_bucketed(rounded, space, configs, kernel, options.iteration,
-                     options.pruning, *options.executor, options.schedule,
+        run_bucketed(rounded, space, configs, kernel, *options.executor,
                      options.cancel, run);
       }
       break;
@@ -635,12 +463,11 @@ DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
         // SPMD owns its threads; the counters realisation keeps that shape
         // with a run-scoped pool of the same width.
         WorkStealingPool pool(options.spmd_threads);
-        run_counters(rounded, space, configs, kernel, options.iteration,
-                     options.pruning, pool, options.cancel, run,
-                     "spmd-counters");
+        run_counters(rounded, space, configs, kernel, pool, options.cancel,
+                     run, "spmd-counters");
       } else {
-        run_spmd(rounded, space, configs, kernel, options.iteration,
-                 options.pruning, options.spmd_threads, options.cancel, run);
+        run_spmd(rounded, space, configs, kernel, options.spmd_threads,
+                 options.cancel, run);
       }
       break;
   }

@@ -21,7 +21,6 @@ int accuracy_k(double epsilon) {
 std::string dp_engine_name(DpEngine engine) {
   switch (engine) {
     case DpEngine::kBottomUp: return "bottom-up";
-    case DpEngine::kTopDown: return "top-down";
     case DpEngine::kParallelScan: return "parallel-scan";
     case DpEngine::kParallelBucketed: return "parallel-bucketed";
     case DpEngine::kSpmd: return "spmd";
@@ -40,79 +39,46 @@ PtasSolver::PtasSolver(PtasOptions options)
 }
 
 std::string PtasSolver::name() const {
-  switch (options_.engine) {
-    case DpEngine::kBottomUp:
-    case DpEngine::kTopDown:
-      return "PTAS";
-    default:
-      return "ParallelPTAS";
-  }
+  return options_.engine == DpEngine::kBottomUp ? "PTAS" : "ParallelPTAS";
 }
 
 DpBackendFn PtasSolver::make_backend(DpTableMode mode,
                                      const CancellationToken& cancel) const {
-  switch (options_.engine) {
-    case DpEngine::kBottomUp: {
-      DpOptions dp_options;
-      dp_options.kernel = options_.kernel;
-      dp_options.mode = mode;
-      dp_options.pruning = options_.pruning;
-      dp_options.table_alloc = options_.table_alloc;
-      dp_options.cancel = cancel;
-      return [dp_options](const RoundedInstance& rounded,
-                          const StateSpace& space, const ConfigSet& configs) {
-        return dp_bottom_up(rounded, space, configs, dp_options);
-      };
-    }
-    case DpEngine::kTopDown: {
-      DpOptions dp_options;
-      dp_options.kernel = options_.kernel;  // kPerEntryEnum maps to auto
-      dp_options.mode = mode;
-      dp_options.table_alloc = options_.table_alloc;
-      dp_options.cancel = cancel;
-      return [dp_options](const RoundedInstance& rounded,
-                          const StateSpace& space, const ConfigSet& configs) {
-        return dp_top_down(rounded, space, configs, dp_options);
-      };
-    }
-    case DpEngine::kParallelScan:
-    case DpEngine::kParallelBucketed: {
-      ParallelDpOptions dp_options;
-      dp_options.executor = options_.executor;
-      dp_options.variant = options_.engine == DpEngine::kParallelScan
-                               ? ParallelDpVariant::kScanPerLevel
-                               : ParallelDpVariant::kBucketed;
-      dp_options.schedule = options_.schedule;
-      dp_options.kernel = options_.kernel;
-      dp_options.iteration = options_.iteration;
-      dp_options.pruning = options_.pruning;
-      dp_options.sync_mode = options_.sync_mode;
-      dp_options.table_mode = mode;
-      dp_options.table_alloc = options_.table_alloc;
-      dp_options.cancel = cancel;
-      return [dp_options](const RoundedInstance& rounded, const StateSpace& space,
-                          const ConfigSet& configs) {
-        return dp_parallel(rounded, space, configs, dp_options);
-      };
-    }
-    case DpEngine::kSpmd: {
-      ParallelDpOptions dp_options;
-      dp_options.variant = ParallelDpVariant::kSpmd;
-      dp_options.spmd_threads = options_.spmd_threads;
-      dp_options.kernel = options_.kernel;
-      dp_options.iteration = options_.iteration;
-      dp_options.pruning = options_.pruning;
-      dp_options.sync_mode = options_.sync_mode;
-      dp_options.table_mode = mode;
-      dp_options.table_alloc = options_.table_alloc;
-      dp_options.cancel = cancel;
-      return [dp_options](const RoundedInstance& rounded, const StateSpace& space,
-                          const ConfigSet& configs) {
-        return dp_parallel(rounded, space, configs, dp_options);
-      };
-    }
+  if (options_.engine == DpEngine::kBottomUp) {
+    DpOptions dp_options;
+    dp_options.kernel = options_.kernel;
+    dp_options.mode = mode;
+    dp_options.cancel = cancel;
+    return [dp_options](const RoundedInstance& rounded, const StateSpace& space,
+                        const ConfigSet& configs) {
+      return dp_bottom_up(rounded, space, configs, dp_options);
+    };
   }
-  throw InvalidArgumentError("unknown DP engine");
+  ParallelDpOptions dp_options;
+  switch (options_.engine) {
+    case DpEngine::kParallelScan:
+      dp_options.variant = ParallelDpVariant::kScanPerLevel;
+      break;
+    case DpEngine::kParallelBucketed:
+      dp_options.variant = ParallelDpVariant::kBucketed;
+      break;
+    case DpEngine::kSpmd:
+      dp_options.variant = ParallelDpVariant::kSpmd;
+      break;
+    default:
+      throw InvalidArgumentError("unknown DP engine");
+  }
+  dp_options.executor = options_.executor;  // ignored by kSpmd
+  dp_options.schedule = options_.schedule;
+  dp_options.spmd_threads = options_.spmd_threads;
+  dp_options.kernel = options_.kernel;
+  dp_options.sync_mode = options_.sync_mode;
+  dp_options.table_mode = mode;
+  dp_options.cancel = cancel;
+  return [dp_options](const RoundedInstance& rounded, const StateSpace& space,
+                      const ConfigSet& configs) {
+    return dp_parallel(rounded, space, configs, dp_options);
+  };
 }
 
 SolveContext PtasSolver::legacy_context(bool* used_legacy_cancel) const {
@@ -132,13 +98,11 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
   const ContextScopes scopes(context);
   const CancellationToken stop = context.effective_token();
 
-  // Search probes only read OPT(N), so they can run values-only (halved
-  // table memory and write traffic); the final run at T* must keep choices
-  // for the reconstruction walk.
+  // Search probes only read OPT(N), so they run values-only (halved table
+  // memory and write traffic); the final run at T* must keep choices for
+  // the reconstruction walk.
   const DpBackendFn probe_backend =
-      make_backend(options_.values_only_probes ? DpTableMode::kValuesOnly
-                                               : DpTableMode::kValuesAndChoices,
-                   stop);
+      make_backend(DpTableMode::kValuesOnly, stop);
   const DpBackendFn final_backend =
       make_backend(DpTableMode::kValuesAndChoices, stop);
 

@@ -1,7 +1,7 @@
 // Public facade of the (parallel) Hochbaum-Shmoys PTAS.
 //
 // PtasSolver implements paper Algorithm 1; the choice of DP engine turns it
-// into the sequential PTAS (kBottomUp/kTopDown) or the paper's parallel
+// into the sequential PTAS (kBottomUp) or the paper's parallel
 // approximation algorithm (the parallel engines replace Algorithm 2 with
 // Algorithm 3, everything else unchanged — paper §III, last paragraph).
 //
@@ -21,7 +21,6 @@ namespace pcmax {
 /// Which DP realisation drives the bisection probes.
 enum class DpEngine {
   kBottomUp,          ///< sequential full-table fill (speedup baseline)
-  kTopDown,           ///< sequential memoised recursion (paper Alg. 2 as written)
   kParallelScan,      ///< Algorithm 3, paper-faithful scan per level
   kParallelBucketed,  ///< Algorithm 3 with pre-bucketed levels
   kSpmd,              ///< Algorithm 3 with persistent threads + barrier
@@ -38,38 +37,23 @@ struct PtasOptions {
   /// Executor for the parallel engines; non-owning, must outlive the solver.
   /// Ignored by sequential engines and by kSpmd.
   Executor* executor = nullptr;
-  /// Per-level iteration assignment (paper: round-robin).
+  /// Per-level iteration assignment of kParallelScan (paper: round-robin).
   LoopSchedule schedule = LoopSchedule::kRoundRobin;
   /// Thread count for the kSpmd engine.
   unsigned spmd_threads = 1;
   /// Per-entry kernel. kGlobalConfigs (default) scans a precomputed global
   /// configuration set with the fastest fits-test kernel the host supports
-  /// (runtime-dispatched: AVX2 > AVX-512 > SWAR); kScalar/kSwar/kAvx2/
-  /// kAvx512 force a specific one (unsupported vector kernels degrade down
-  /// the chain). kPerEntryEnum re-enumerates C_v per entry exactly as the
-  /// paper's Algorithm 3 does, reproducing the cost profile behind the
-  /// paper's speedup figures (kTopDown maps it to the auto-selected scan).
-  /// Results are identical for every kernel.
+  /// (runtime-dispatched: AVX2, else SWAR); kSwar/kAvx2 force one (an
+  /// unsupported kAvx2 degrades to SWAR). kPerEntryEnum re-enumerates C_v
+  /// per entry exactly as the paper's Algorithm 3 does, reproducing the
+  /// cost profile behind the paper's speedup figures. Results are identical
+  /// for every kernel.
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  /// Level enumeration of the kParallelBucketed/kSpmd engines: LevelWalker
-  /// rank/unrank slicing (kWalker, the fast path) or the legacy precomputed
-  /// LevelIndex (kIndexed baseline). Identical tables either way.
-  LevelIteration iteration = LevelIteration::kWalker;
-  /// Level-prefix pruning of the global-config kernel (kOff = pre-pruning
-  /// baseline). Identical tables either way.
-  LevelPruning pruning = LevelPruning::kOn;
   /// Inter-level synchronisation of kParallelBucketed/kSpmd: per-level
   /// barrier (default) or barrier-free chunk dependency counters on the
   /// work-stealing pool (kCounters; kParallelBucketed then requires
   /// `executor` to be a WorkStealingExecutor). Identical tables either way.
   DpSyncMode sync_mode = DpSyncMode::kBarrier;
-  /// When true (default), search probes run with values-only DP tables —
-  /// bisection/multisection only read OPT(N), so the choice array is dead
-  /// weight there. The final reconstruction run always keeps choices.
-  bool values_only_probes = true;
-  /// Backing store of the DP tables; kHugePage requests transparent huge
-  /// pages for tables of at least 2 MiB (advisory — see TableBuffer).
-  TableAlloc table_alloc = TableAlloc::kDefault;
   /// Resource budgets for each DP probe.
   DpLimits limits;
   /// Concurrent probes per search round (extension beyond the paper):
@@ -130,8 +114,8 @@ class PtasSolver final : public Solver {
 
  private:
   /// Builds the DP backend for the configured engine; `mode` selects the
-  /// table storage (values-only for search probes, values+choices for the
-  /// final reconstruction run). `cancel` is the solve's effective stop
+  /// table storage (values-only for search probes, which only read OPT(N);
+  /// values+choices for the final reconstruction run). `cancel` is the solve's effective stop
   /// signal (context token; the v1 path lifts the legacy option into it).
   DpBackendFn make_backend(DpTableMode mode,
                            const CancellationToken& cancel) const;

@@ -1,9 +1,14 @@
 #include "core/instance.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <system_error>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -13,6 +18,26 @@ namespace {
 
 /// Leading token of the versioned wire format (satellite: wire-format v2).
 constexpr const char* kWireV2Tag = "pcmax.instance.v2";
+
+/// Parses a whole token as a base-10 integer of type Int. On failure the
+/// error names the field, its 1-based position among `count` fields when
+/// `position` is non-zero, and the token, e.g. "processing time 1 of 3:
+/// '1e3' is not an integer".
+template <typename Int>
+Int integer_token(const std::string& token, const char* field,
+                  std::size_t position = 0, std::size_t count = 0) {
+  const char* last = token.data() + token.size();
+  Int value{};
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  if (ec == std::errc() && end == last) return value;
+  std::string what = field;
+  if (position != 0) {
+    what += " " + std::to_string(position) + " of " + std::to_string(count);
+  }
+  const bool overflow = ec == std::errc::result_out_of_range && end == last;
+  throw InvalidArgumentError(what + ": '" + token + "' is " +
+                             (overflow ? "out of range" : "not an integer"));
+}
 
 }  // namespace
 
@@ -105,37 +130,43 @@ std::string Instance::to_string() const {
 
 Instance Instance::parse(const std::string& text) {
   std::istringstream is(text);
+  const std::vector<std::string> tokens{std::istream_iterator<std::string>(is),
+                                        std::istream_iterator<std::string>()};
+  std::size_t next = 0;
   ProblemVariant variant = ProblemVariant::kClassic;
   VariantPayload payload{};
-  std::string head;
-  // Peek at the first token: the v2 header is the only non-numeric lead-in.
-  const std::istringstream::pos_type start = is.tellg();
-  if (is >> head && head == kWireV2Tag) {
-    std::string name;
-    PCMAX_REQUIRE(static_cast<bool>(is >> name),
+  // The v2 header is the only non-numeric lead-in.
+  if (!tokens.empty() && tokens[0] == kWireV2Tag) {
+    PCMAX_REQUIRE(tokens.size() > 1,
                   "expected a variant name after 'pcmax.instance.v2'");
-    variant = variant_from_name(name);
+    variant = variant_from_name(tokens[1]);
+    next = 2;
     if (variant == ProblemVariant::kCapacity) {
-      PCMAX_REQUIRE(static_cast<bool>(is >> payload.capacity),
-                    "expected capacity B after 'capacity'");
+      PCMAX_REQUIRE(next < tokens.size(), "expected capacity B after 'capacity'");
+      payload.capacity = integer_token<Time>(tokens[next++], "capacity B");
     }
-  } else {
-    is.clear();
-    is.seekg(start);
   }
-  int m = 0;
-  int n = 0;
-  PCMAX_REQUIRE(static_cast<bool>(is >> m >> n), "expected 'm n t_1 ... t_n'");
+  PCMAX_REQUIRE(next < tokens.size(),
+                "missing machine count m (expected 'm n t_1 ... t_n')");
+  const int m = integer_token<int>(tokens[next++], "machine count m");
+  PCMAX_REQUIRE(next < tokens.size(), "missing job count n after m = " +
+                                          std::to_string(m));
+  const int n = integer_token<int>(tokens[next++], "job count n");
   PCMAX_REQUIRE(n >= 1, "job count must be positive");
+  const std::size_t given = tokens.size() - next;
+  const auto expected = static_cast<std::size_t>(n);
+  PCMAX_REQUIRE(given >= expected,
+                "missing processing time " + std::to_string(given + 1) +
+                    " of " + std::to_string(n));
+  PCMAX_REQUIRE(given == expected,
+                "trailing token '" + tokens[next + expected] + "' after " +
+                    std::to_string(n) + " processing times");
   std::vector<Time> times;
-  times.reserve(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    Time t = 0;
-    PCMAX_REQUIRE(static_cast<bool>(is >> t), "missing processing time");
-    times.push_back(t);
+  times.reserve(expected);
+  for (std::size_t j = 0; j < expected; ++j) {
+    times.push_back(integer_token<Time>(tokens[next + j], "processing time",
+                                        j + 1, expected));
   }
-  Time extra;
-  PCMAX_REQUIRE(!(is >> extra), "trailing tokens after processing times");
   return Instance(m, std::move(times), variant, payload);
 }
 

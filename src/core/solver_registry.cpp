@@ -118,8 +118,6 @@ PtasOptions ptas_options_from(const SolverBuild& build, DpEngine engine) {
   options.spmd_threads = std::max(1u, build.threads);
   options.sync_mode = dp_sync_from(build.dp_sync);
   options.kernel = dp_kernel_from_name(build.dp_kernel);
-  options.table_alloc =
-      build.dp_huge_pages ? TableAlloc::kHugePage : TableAlloc::kDefault;
   return options;
 }
 

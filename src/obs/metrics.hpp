@@ -311,7 +311,7 @@ class DpRunRecorder {
 
   /// Records one worker's entry/scan/pruned totals (call once per worker).
   /// simd_blocks/scalar_fallbacks feed the dp.simd_blocks and
-  /// dp.scalar_fallbacks counters; they default to 0 for scalar kernels.
+  /// dp.scalar_fallbacks counters; they default to 0 for the portable kernels.
   void add_worker(unsigned worker, std::uint64_t entries, std::uint64_t scans,
                   std::uint64_t pruned, std::uint64_t simd_blocks = 0,
                   std::uint64_t scalar_fallbacks = 0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -53,13 +54,37 @@ TEST(Instance, ParseAcceptsCanonicalFormat) {
 }
 
 TEST(Instance, ParseRejectsMalformedInput) {
-  EXPECT_THROW((void)Instance::parse(""), InvalidArgumentError);
-  EXPECT_THROW((void)Instance::parse("2"), InvalidArgumentError);
-  EXPECT_THROW((void)Instance::parse("2 3 1 2"), InvalidArgumentError);      // short
-  EXPECT_THROW((void)Instance::parse("2 2 1 2 3"), InvalidArgumentError);    // long
-  EXPECT_THROW((void)Instance::parse("2 0"), InvalidArgumentError);          // no jobs
-  EXPECT_THROW((void)Instance::parse("x y z"), InvalidArgumentError);        // junk
-  EXPECT_THROW((void)Instance::parse("0 1 5"), InvalidArgumentError);        // m = 0
+  // Each error names the offending token and its position.
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"", "missing machine count m"},
+      {"2", "missing job count n after m = 2"},
+      {"2 3 1 2", "missing processing time 3 of 3"},
+      {"2 2 1 2 3", "trailing token '3' after 2 processing times"},
+      {"2 0", "job count must be positive"},
+      {"x y z", "machine count m: 'x' is not an integer"},
+      {"2 3 1e3 2 3", "processing time 1 of 3: '1e3' is not an integer"},
+      {"2 3 1 2 3.5", "processing time 3 of 3: '3.5' is not an integer"},
+      {"2 3x 1 2 3", "job count n: '3x' is not an integer"},
+      {"2.5 3 1 2 3", "machine count m: '2.5' is not an integer"},
+      {"2 1 99999999999999999999",
+       "processing time 1 of 1: '99999999999999999999' is out of range"},
+      {"9999999999 1 5", "machine count m: '9999999999' is out of range"},
+      {"pcmax.instance.v2 capacity B 2 1 5",
+       "capacity B: 'B' is not an integer"},
+      {"0 1 5", "machine"},  // m = 0 is rejected by the constructor
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)Instance::parse(c.text);
+      ADD_FAILURE() << "accepted '" << c.text << "'";
+    } catch (const InvalidArgumentError& error) {
+      EXPECT_NE(std::string(error.what()).find(c.message), std::string::npos)
+          << "input '" << c.text << "': got '" << error.what() << "'";
+    }
+  }
 }
 
 TEST(Instance, VersionedWireFormatRoundTrips) {

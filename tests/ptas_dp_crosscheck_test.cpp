@@ -164,35 +164,31 @@ TEST(DpCrossCheck, AllVariantsAndSchedulesMatchSequentialOnRandomShapes) {
 
     for (const ParallelDpVariant variant : kVariants) {
       for (const LoopSchedule schedule : kSchedules) {
-        for (const LevelIteration iteration :
-             {LevelIteration::kWalker, LevelIteration::kIndexed}) {
-          ParallelDpOptions options;
-          options.executor = &executor;
-          options.variant = variant;
-          options.schedule = schedule;
-          options.spmd_threads = 4;
-          options.iteration = iteration;
-          const DpRun run = dp_parallel(rounded, space, configs, options);
-          const std::string what = parallel_dp_variant_name(variant) + "/" +
-                                   loop_schedule_name(schedule) + "/" +
-                                   level_iteration_name(iteration) + " round " +
-                                   std::to_string(round);
-          expect_identical_tables(reference, run, what);
-          // Entries-processed totals are identical too: every realisation
-          // computes each of the sigma entries exactly once, independent of
-          // how iterations were assigned to workers.
-          EXPECT_EQ(run.stats.entries_computed, reference.stats.entries_computed)
-              << what;
-        }
+        ParallelDpOptions options;
+        options.executor = &executor;
+        options.variant = variant;
+        options.schedule = schedule;
+        options.spmd_threads = 4;
+        const DpRun run = dp_parallel(rounded, space, configs, options);
+        const std::string what = parallel_dp_variant_name(variant) + "/" +
+                                 loop_schedule_name(schedule) + " round " +
+                                 std::to_string(round);
+        expect_identical_tables(reference, run, what);
+        // Entries-processed totals are identical too: every realisation
+        // computes each of the sigma entries exactly once, independent of
+        // how iterations were assigned to workers.
+        EXPECT_EQ(run.stats.entries_computed, reference.stats.entries_computed)
+            << what;
       }
     }
   }
 }
 
 TEST(DpCrossCheck, PruningAndTableModesAgreeAcrossKernelsAndVariants) {
-  // The level-prefix bound, the values-only probe mode, and the walker
-  // iteration are pure optimisations: every combination must reproduce the
-  // unpruned full-table reference — byte for byte where choices exist, value
+  // The level-prefix bound and the values-only probe mode are pure
+  // optimisations: every combination must reproduce the per-entry
+  // enumeration reference (which never materialises a non-fitting config,
+  // so it has nothing to prune) — byte for byte where choices exist, value
   // for value everywhere — while only the scan accounting changes.
   Xoshiro256StarStar rng(0xFACADE);
   ThreadPoolExecutor executor(4);
@@ -209,67 +205,54 @@ TEST(DpCrossCheck, PruningAndTableModesAgreeAcrossKernelsAndVariants) {
     const StateSpace space(counts, kBig);
     const ConfigSet configs = enumerate_configs(rounded, space, kBig);
     const std::string tag = " round " + std::to_string(round);
+    // Scans of a full, unpruned sweep: every config for every entry.
+    const std::uint64_t full_scans = (space.size() - 1) * configs.count();
 
-    // Unpruned reference: the pre-optimisation kernel's exact behaviour.
-    const DpRun unpruned =
-        dp_bottom_up(rounded, space, configs, DpKernel::kGlobalConfigs, {},
-                     DpTableMode::kValuesAndChoices, LevelPruning::kOff);
-    EXPECT_EQ(unpruned.stats.configs_pruned, 0u);
-    EXPECT_EQ(unpruned.stats.config_scans,
-              (space.size() - 1) * configs.count());
-
-    // Level-pruned vs unpruned: byte-identical, strictly fewer-or-equal
-    // scans, and exact scan/prune conservation.
-    const DpRun pruned = dp_bottom_up(rounded, space, configs);
-    expect_identical_tables(unpruned, pruned, "pruned" + tag);
-    EXPECT_LE(pruned.stats.config_scans, unpruned.stats.config_scans);
-    EXPECT_EQ(pruned.stats.config_scans + pruned.stats.configs_pruned,
-              unpruned.stats.config_scans);
-
-    // The paper-faithful per-entry enumeration kernel agrees too (its
-    // canonical argmin falls out of the lexicographic enumeration order).
+    // Reference: the paper-faithful per-entry enumeration (its canonical
+    // argmin falls out of the lexicographic enumeration order).
     const DpRun enumerated = dp_bottom_up(rounded, space, configs,
                                           DpKernel::kPerEntryEnum);
-    expect_identical_tables(unpruned, enumerated, "per-entry-enum" + tag);
+    EXPECT_EQ(enumerated.stats.configs_pruned, 0u);
+
+    // Level-pruned scan: byte-identical, fewer-or-equal scans, and exact
+    // scan/prune conservation.
+    const DpRun pruned = dp_bottom_up(rounded, space, configs);
+    expect_identical_tables(enumerated, pruned, "pruned" + tag);
+    EXPECT_LE(pruned.stats.config_scans, full_scans);
+    EXPECT_EQ(pruned.stats.config_scans + pruned.stats.configs_pruned,
+              full_scans);
 
     // Values-only mode: same values and OPT(N), no choice array.
     const DpRun values_only =
         dp_bottom_up(rounded, space, configs, DpKernel::kGlobalConfigs, {},
                      DpTableMode::kValuesOnly);
     EXPECT_FALSE(values_only.table.has_choices());
-    EXPECT_EQ(values_only.machines_needed, unpruned.machines_needed);
+    EXPECT_EQ(values_only.machines_needed, enumerated.machines_needed);
     for (std::size_t i = 0; i < space.size(); ++i) {
-      ASSERT_EQ(values_only.table.value(i), unpruned.table.value(i))
+      ASSERT_EQ(values_only.table.value(i), enumerated.table.value(i))
           << "values-only entry " << i << tag;
     }
 
-    // Parallel values-only probes (the bisection fast path) across both
-    // iteration modes: value-identical, conservation holds per run.
+    // Parallel values-only probes (the bisection fast path):
+    // value-identical, conservation holds per run.
     for (const ParallelDpVariant variant :
          {ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd}) {
-      for (const LevelIteration iteration :
-           {LevelIteration::kWalker, LevelIteration::kIndexed}) {
-        ParallelDpOptions options;
-        options.executor = &executor;
-        options.variant = variant;
-        options.spmd_threads = 4;
-        options.iteration = iteration;
-        options.table_mode = DpTableMode::kValuesOnly;
-        const DpRun run = dp_parallel(rounded, space, configs, options);
-        const std::string what = parallel_dp_variant_name(variant) + "/" +
-                                 level_iteration_name(iteration) +
-                                 " values-only" + tag;
-        EXPECT_FALSE(run.table.has_choices()) << what;
-        EXPECT_EQ(run.machines_needed, unpruned.machines_needed) << what;
-        for (std::size_t i = 0; i < space.size(); ++i) {
-          ASSERT_EQ(run.table.value(i), unpruned.table.value(i))
-              << what << " entry " << i;
-        }
-        EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
-                  unpruned.stats.config_scans)
-            << what;
-        EXPECT_LE(run.stats.config_scans, unpruned.stats.config_scans) << what;
+      ParallelDpOptions options;
+      options.executor = &executor;
+      options.variant = variant;
+      options.spmd_threads = 4;
+      options.table_mode = DpTableMode::kValuesOnly;
+      const DpRun run = dp_parallel(rounded, space, configs, options);
+      const std::string what =
+          parallel_dp_variant_name(variant) + " values-only" + tag;
+      EXPECT_FALSE(run.table.has_choices()) << what;
+      EXPECT_EQ(run.machines_needed, enumerated.machines_needed) << what;
+      for (std::size_t i = 0; i < space.size(); ++i) {
+        ASSERT_EQ(run.table.value(i), enumerated.table.value(i))
+            << what << " entry " << i;
       }
+      EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned, full_scans)
+          << what;
     }
   }
 }
@@ -277,7 +260,7 @@ TEST(DpCrossCheck, PruningAndTableModesAgreeAcrossKernelsAndVariants) {
 TEST(DpCrossCheck, SyncModePoolThreadMatrixMatchesSequential) {
   // The determinism matrix gating the work-stealing pool and the
   // barrier-free counters sweep:
-  //   {bucketed, spmd} x {walker, indexed} x {barrier, counters}
+  //   {bucketed, spmd} x {barrier, counters}
   //   x {threadpool, workstealing} x threads {1, 3, 8}
   // Every admissible combination must reproduce the sequential bottom-up
   // table byte for byte (values AND argmin choices), compute each entry
@@ -297,9 +280,7 @@ TEST(DpCrossCheck, SyncModePoolThreadMatrixMatchesSequential) {
     const RoundedInstance rounded = make_rounded(sizes, counts, target);
     const StateSpace space(counts, kBig);
     const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-    const DpRun unpruned =
-        dp_bottom_up(rounded, space, configs, DpKernel::kGlobalConfigs, {},
-                     DpTableMode::kValuesAndChoices, LevelPruning::kOff);
+    const std::uint64_t full_scans = (space.size() - 1) * configs.count();
     const DpRun reference = dp_bottom_up(rounded, space, configs);
 
     for (const unsigned threads : {1u, 3u, 8u}) {
@@ -308,48 +289,42 @@ TEST(DpCrossCheck, SyncModePoolThreadMatrixMatchesSequential) {
             make_executor(backend, threads);
         for (const ParallelDpVariant variant :
              {ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd}) {
-          for (const LevelIteration iteration :
-               {LevelIteration::kWalker, LevelIteration::kIndexed}) {
-            for (const DpSyncMode sync :
-                 {DpSyncMode::kBarrier, DpSyncMode::kCounters}) {
-              if (sync == DpSyncMode::kCounters &&
-                  variant == ParallelDpVariant::kBucketed &&
-                  std::string(backend) != "workstealing") {
-                continue;  // inadmissible: rejection asserted below
-              }
-              ParallelDpOptions options;
-              options.executor = executor.get();
-              options.variant = variant;
-              options.spmd_threads = threads;
-              options.iteration = iteration;
-              options.sync_mode = sync;
-              const std::string what =
-                  parallel_dp_variant_name(variant) + "/" +
-                  level_iteration_name(iteration) + "/" +
-                  dp_sync_mode_name(sync) + "/" + backend + "/t" +
-                  std::to_string(threads) + " round " + std::to_string(round);
-              const DpRun run = dp_parallel(rounded, space, configs, options);
-              expect_identical_tables(reference, run, what);
-              EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
-              EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
-                        unpruned.stats.config_scans)
-                  << what;
-
-              // Values-only probe mode of the same cell: value equality
-              // against the reference, no choice array.
-              options.table_mode = DpTableMode::kValuesOnly;
-              const DpRun probe = dp_parallel(rounded, space, configs, options);
-              EXPECT_FALSE(probe.table.has_choices()) << what;
-              EXPECT_EQ(probe.machines_needed, reference.machines_needed)
-                  << what;
-              for (std::size_t i = 0; i < space.size(); ++i) {
-                ASSERT_EQ(probe.table.value(i), reference.table.value(i))
-                    << what << " values-only entry " << i;
-              }
-              EXPECT_EQ(probe.stats.config_scans + probe.stats.configs_pruned,
-                        unpruned.stats.config_scans)
-                  << what;
+          for (const DpSyncMode sync :
+               {DpSyncMode::kBarrier, DpSyncMode::kCounters}) {
+            if (sync == DpSyncMode::kCounters &&
+                variant == ParallelDpVariant::kBucketed &&
+                std::string(backend) != "workstealing") {
+              continue;  // inadmissible: rejection asserted below
             }
+            ParallelDpOptions options;
+            options.executor = executor.get();
+            options.variant = variant;
+            options.spmd_threads = threads;
+            options.sync_mode = sync;
+            const std::string what =
+                parallel_dp_variant_name(variant) + "/" +
+                dp_sync_mode_name(sync) + "/" + backend + "/t" +
+                std::to_string(threads) + " round " + std::to_string(round);
+            const DpRun run = dp_parallel(rounded, space, configs, options);
+            expect_identical_tables(reference, run, what);
+            EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
+            EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
+                      full_scans)
+                << what;
+
+            // Values-only probe mode of the same cell: value equality
+            // against the reference, no choice array.
+            options.table_mode = DpTableMode::kValuesOnly;
+            const DpRun probe = dp_parallel(rounded, space, configs, options);
+            EXPECT_FALSE(probe.table.has_choices()) << what;
+            EXPECT_EQ(probe.machines_needed, reference.machines_needed) << what;
+            for (std::size_t i = 0; i < space.size(); ++i) {
+              ASSERT_EQ(probe.table.value(i), reference.table.value(i))
+                  << what << " values-only entry " << i;
+            }
+            EXPECT_EQ(probe.stats.config_scans + probe.stats.configs_pruned,
+                      full_scans)
+                << what;
           }
         }
       }
@@ -370,17 +345,15 @@ TEST(DpCrossCheck, SyncModePoolThreadMatrixMatchesSequential) {
 }
 
 TEST(DpCrossCheck, AllKernelsMatchAcrossEnginesIterationSyncAndTableModes) {
-  // The kernel axis of the determinism matrix: forcing every fits-test
-  // kernel (auto, scalar, SWAR, AVX2, AVX-512 — unsupported vector kernels
-  // degrade down the chain, which is itself part of the contract) under
-  // every engine x iteration x sync x table-mode combination must reproduce
-  // the sequential bottom-up reference byte for byte. The work-stealing
+  // The kernel axis of the determinism matrix: every selectable kernel
+  // (auto, SWAR, AVX2 — an unsupported AVX2 degrades to SWAR, which is
+  // itself part of the contract — and the per-entry enumeration) under
+  // every engine x sync x table mode x thread count must reproduce the
+  // sequential bottom-up reference byte for byte. The work-stealing
   // executor keeps the bucketed+counters cell admissible.
-  constexpr DpKernel kKernels[] = {DpKernel::kGlobalConfigs, DpKernel::kScalar,
-                                   DpKernel::kSwar, DpKernel::kAvx2,
-                                   DpKernel::kAvx512};
+  constexpr DpKernel kKernels[] = {DpKernel::kGlobalConfigs, DpKernel::kSwar,
+                                   DpKernel::kAvx2, DpKernel::kPerEntryEnum};
   Xoshiro256StarStar rng(0x51D3);
-  WorkStealingExecutor executor(4);
   for (int round = 0; round < 2; ++round) {
     const Time target = uniform_int(rng, 25, 60);
     const int dims = static_cast<int>(uniform_int(rng, 2, 3));
@@ -397,28 +370,18 @@ TEST(DpCrossCheck, AllKernelsMatchAcrossEnginesIterationSyncAndTableModes) {
 
     for (const DpKernel kernel : kKernels) {
       const std::string kname = dp_kernel_name(kernel);
-
-      // Sequential engines.
       DpOptions seq;
       seq.kernel = kernel;
       const DpRun bottom_up = dp_bottom_up(rounded, space, configs, seq);
       expect_identical_tables(reference, bottom_up,
                               "bottom-up/" + kname + " round " +
                                   std::to_string(round));
-      const DpRun top_down = dp_top_down(rounded, space, configs, seq);
-      EXPECT_EQ(top_down.machines_needed, reference.machines_needed)
-          << "top-down/" << kname;
-      for (std::size_t i = 0; i < space.size(); ++i) {
-        if (top_down.table.value(i) == DpTable::kUnset) continue;
-        ASSERT_EQ(top_down.table.value(i), reference.table.value(i))
-            << "top-down/" << kname << " entry " << i;
-      }
 
-      // Parallel engines: variant x iteration x sync x table mode.
-      for (const ParallelDpVariant variant :
-           {ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd}) {
-        for (const LevelIteration iteration :
-             {LevelIteration::kWalker, LevelIteration::kIndexed}) {
+      // Parallel engines: variant x sync x table mode x threads.
+      for (const unsigned threads : {1u, 3u, 8u}) {
+        WorkStealingExecutor executor(threads);
+        for (const ParallelDpVariant variant :
+             {ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd}) {
           for (const DpSyncMode sync :
                {DpSyncMode::kBarrier, DpSyncMode::kCounters}) {
             for (const DpTableMode mode :
@@ -426,16 +389,15 @@ TEST(DpCrossCheck, AllKernelsMatchAcrossEnginesIterationSyncAndTableModes) {
               ParallelDpOptions options;
               options.executor = &executor;
               options.variant = variant;
-              options.spmd_threads = 4;
+              options.spmd_threads = threads;
               options.kernel = kernel;
-              options.iteration = iteration;
               options.sync_mode = sync;
               options.table_mode = mode;
               const DpRun run = dp_parallel(rounded, space, configs, options);
               const std::string what =
                   parallel_dp_variant_name(variant) + "/" +
-                  level_iteration_name(iteration) + "/" +
-                  dp_sync_mode_name(sync) + "/" + kname +
+                  dp_sync_mode_name(sync) + "/" + kname + "/t" +
+                  std::to_string(threads) +
                   (mode == DpTableMode::kValuesOnly ? "/values-only" : "") +
                   " round " + std::to_string(round);
               if (mode == DpTableMode::kValuesAndChoices) {

@@ -2,15 +2,19 @@
 // never picks an ISA the host (or the build) does not have, forcing any
 // kernel reproduces the reference DP byte for byte, and the degradation
 // accounting (dp.simd_blocks / dp.scalar_fallbacks) matches the documented
-// rules. These tests run on every host: the vector-specific assertions gate
-// on dp_kernel_supported(), so a non-AVX machine (or a PCMAX_DISABLE_SIMD
-// build) still exercises the full dispatch surface through the degradation
-// chain.
+// rules. The reference is the paper-faithful per-entry enumeration, a code
+// path independent of the packed scans. These tests run on every host: the
+// AVX2-specific assertions gate on dp_kernel_supported(), so a non-AVX
+// machine (or a PCMAX_DISABLE_SIMD build) still exercises the full dispatch
+// surface through the avx2 -> swar degradation.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "algo/ptas/config_enum.hpp"
+#include "algo/ptas/dp_parallel.hpp"
 #include "algo/ptas/dp_sequential.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -20,9 +24,9 @@ namespace {
 
 constexpr std::size_t kBig = std::size_t{1} << 40;
 
-constexpr DpKernel kAllKernels[] = {
-    DpKernel::kGlobalConfigs, DpKernel::kPerEntryEnum, DpKernel::kScalar,
-    DpKernel::kSwar,          DpKernel::kAvx2,         DpKernel::kAvx512};
+constexpr DpKernel kAllKernels[] = {DpKernel::kGlobalConfigs,
+                                    DpKernel::kPerEntryEnum, DpKernel::kSwar,
+                                    DpKernel::kAvx2};
 
 RoundedInstance make_rounded(const std::vector<Time>& sizes,
                              const std::vector<int>& counts, Time target) {
@@ -66,7 +70,6 @@ TEST(KernelDispatch, SupportImpliesCompiled) {
     }
   }
   // The portable kernels are unconditionally available.
-  EXPECT_TRUE(dp_kernel_supported(DpKernel::kScalar));
   EXPECT_TRUE(dp_kernel_supported(DpKernel::kSwar));
   EXPECT_TRUE(dp_kernel_supported(DpKernel::kPerEntryEnum));
 }
@@ -74,9 +77,9 @@ TEST(KernelDispatch, SupportImpliesCompiled) {
 TEST(KernelDispatch, SelectBestIsAlwaysSupported) {
   const DpKernel best = select_best_kernel();
   EXPECT_TRUE(dp_kernel_supported(best)) << dp_kernel_name(best);
-  // It resolves to a concrete scan kernel, never a meta value.
-  EXPECT_TRUE(best == DpKernel::kSwar || best == DpKernel::kAvx2 ||
-              best == DpKernel::kAvx512)
+  // AVX2 whenever the host runs it, SWAR otherwise.
+  EXPECT_EQ(best, dp_kernel_supported(DpKernel::kAvx2) ? DpKernel::kAvx2
+                                                       : DpKernel::kSwar)
       << dp_kernel_name(best);
 }
 
@@ -91,18 +94,12 @@ TEST(KernelDispatch, ResolveNeverYieldsAnUnsupportedKernel) {
   EXPECT_EQ(resolve_dp_kernel(DpKernel::kGlobalConfigs), select_best_kernel());
   EXPECT_EQ(resolve_dp_kernel(DpKernel::kPerEntryEnum),
             DpKernel::kPerEntryEnum);
-  EXPECT_EQ(resolve_dp_kernel(DpKernel::kScalar), DpKernel::kScalar);
   EXPECT_EQ(resolve_dp_kernel(DpKernel::kSwar), DpKernel::kSwar);
-  // The vector kernels degrade down the chain when unsupported.
+  // AVX2 degrades to SWAR when unsupported.
   if (dp_kernel_supported(DpKernel::kAvx2)) {
     EXPECT_EQ(resolve_dp_kernel(DpKernel::kAvx2), DpKernel::kAvx2);
   } else {
     EXPECT_EQ(resolve_dp_kernel(DpKernel::kAvx2), DpKernel::kSwar);
-  }
-  if (dp_kernel_supported(DpKernel::kAvx512)) {
-    EXPECT_EQ(resolve_dp_kernel(DpKernel::kAvx512), DpKernel::kAvx512);
-  } else {
-    EXPECT_NE(resolve_dp_kernel(DpKernel::kAvx512), DpKernel::kAvx512);
   }
 }
 
@@ -121,10 +118,13 @@ TEST(KernelDispatch, ForcedKernelsAreByteIdenticalOnRandomShapes) {
     const StateSpace space(counts, kBig);
     const ConfigSet configs = enumerate_configs(rounded, space, kBig);
 
-    DpOptions reference_options;
-    reference_options.kernel = DpKernel::kScalar;
     const DpRun reference =
-        dp_bottom_up(rounded, space, configs, reference_options);
+        dp_bottom_up(rounded, space, configs, DpKernel::kPerEntryEnum);
+    // Scan accounting reference: every scan kernel inspects the same level
+    // prefix, and each of the |C| configs is either scanned or pruned.
+    const DpRun scanned = dp_bottom_up(rounded, space, configs);
+    EXPECT_EQ(scanned.stats.config_scans + scanned.stats.configs_pruned,
+              (space.size() - 1) * configs.count());
 
     for (const DpKernel kernel : kAllKernels) {
       DpOptions options;
@@ -134,11 +134,9 @@ TEST(KernelDispatch, ForcedKernelsAreByteIdenticalOnRandomShapes) {
                                " round " + std::to_string(round);
       expect_identical_tables(reference, run, what);
       EXPECT_EQ(run.stats.kernel, resolve_dp_kernel(kernel)) << what;
-      // Scan accounting is kernel-independent: every scan kernel inspects
-      // the same level prefix, so scans + pruned is conserved exactly.
       if (kernel != DpKernel::kPerEntryEnum) {
-        EXPECT_EQ(run.stats.config_scans, reference.stats.config_scans) << what;
-        EXPECT_EQ(run.stats.configs_pruned, reference.stats.configs_pruned)
+        EXPECT_EQ(run.stats.config_scans, scanned.stats.config_scans) << what;
+        EXPECT_EQ(run.stats.configs_pruned, scanned.stats.configs_pruned)
             << what;
       }
       EXPECT_EQ(run.stats.entries_computed, reference.stats.entries_computed)
@@ -149,19 +147,17 @@ TEST(KernelDispatch, ForcedKernelsAreByteIdenticalOnRandomShapes) {
 
 TEST(KernelDispatch, SwarBoundaryDigitsMatchScalar) {
   // counts = 127 is the widest packable digit (the high bit must stay
-  // spare); the SWAR/vector fits test must agree with the scalar comparison
-  // right at that boundary.
+  // spare); the SWAR/vector fits test must agree with the per-entry
+  // enumeration's scalar comparisons right at that boundary.
   const RoundedInstance rounded = make_rounded({2}, {127}, 254);
   const std::vector<int> counts{127};
   const StateSpace space(counts, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
   ASSERT_TRUE(configs.packable);
 
-  DpOptions scalar_options;
-  scalar_options.kernel = DpKernel::kScalar;
-  const DpRun reference = dp_bottom_up(rounded, space, configs, scalar_options);
-  for (const DpKernel kernel :
-       {DpKernel::kSwar, DpKernel::kAvx2, DpKernel::kAvx512}) {
+  const DpRun reference =
+      dp_bottom_up(rounded, space, configs, DpKernel::kPerEntryEnum);
+  for (const DpKernel kernel : {DpKernel::kSwar, DpKernel::kAvx2}) {
     DpOptions options;
     options.kernel = kernel;
     const DpRun run = dp_bottom_up(rounded, space, configs, options);
@@ -170,36 +166,49 @@ TEST(KernelDispatch, SwarBoundaryDigitsMatchScalar) {
 }
 
 TEST(KernelDispatch, UnpackableSetDegradesToScalarWithAccounting) {
-  // counts > 127 cannot be byte-packed: every kernel must still produce the
-  // scalar table, and a *forced vector* kernel records the degradation.
+  // counts > 127 cannot be byte-packed, so every scan kernel takes the
+  // scalar per-dimension loop — the only input that still reaches it. Each
+  // engine must still produce the reference table, and a *forced vector*
+  // kernel records the degradation.
   const RoundedInstance rounded = make_rounded({2}, {200}, 400);
   const std::vector<int> counts{200};
   const StateSpace space(counts, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
   ASSERT_FALSE(configs.packable);
 
-  DpOptions scalar_options;
-  scalar_options.kernel = DpKernel::kScalar;
-  const DpRun reference = dp_bottom_up(rounded, space, configs, scalar_options);
-  EXPECT_EQ(reference.stats.scalar_fallbacks, 0u);
-  EXPECT_EQ(reference.stats.simd_blocks, 0u);
-
-  DpOptions swar_options;
-  swar_options.kernel = DpKernel::kSwar;
-  const DpRun swar = dp_bottom_up(rounded, space, configs, swar_options);
-  expect_identical_tables(reference, swar, "swar");
-  // SWAR was *asked* to be scalar-equivalent here; only vector kernels
-  // count their degradation.
-  EXPECT_EQ(swar.stats.scalar_fallbacks, 0u);
-
-  for (const DpKernel kernel : {DpKernel::kAvx2, DpKernel::kAvx512}) {
-    if (resolve_dp_kernel(kernel) != kernel) continue;  // not supported here
-    DpOptions options;
-    options.kernel = kernel;
-    const DpRun run = dp_bottom_up(rounded, space, configs, options);
-    expect_identical_tables(reference, run, dp_kernel_name(kernel));
-    EXPECT_GT(run.stats.scalar_fallbacks, 0u) << dp_kernel_name(kernel);
-    EXPECT_EQ(run.stats.simd_blocks, 0u) << dp_kernel_name(kernel);
+  const DpRun reference =
+      dp_bottom_up(rounded, space, configs, DpKernel::kPerEntryEnum);
+  WorkStealingExecutor executor(3);
+  // Sequential bottom-up (no variant) plus the bucketed and SPMD sweeps.
+  const std::optional<ParallelDpVariant> engines[] = {
+      std::nullopt, ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd};
+  for (const std::optional<ParallelDpVariant>& variant : engines) {
+    for (const DpKernel kernel : {DpKernel::kSwar, DpKernel::kAvx2}) {
+      const bool vector = resolve_dp_kernel(kernel) == DpKernel::kAvx2;
+      if (kernel == DpKernel::kAvx2 && !vector) continue;  // not supported
+      const std::string what =
+          std::string(dp_kernel_name(kernel)) + "/" +
+          (variant ? parallel_dp_variant_name(*variant) : "bottom-up");
+      const DpRun run = [&] {
+        if (!variant) return dp_bottom_up(rounded, space, configs, kernel);
+        ParallelDpOptions options;
+        options.executor = &executor;
+        options.variant = *variant;
+        options.spmd_threads = 3;
+        options.kernel = kernel;
+        return dp_parallel(rounded, space, configs, options);
+      }();
+      expect_identical_tables(reference, run, what);
+      EXPECT_EQ(run.stats.simd_blocks, 0u) << what;
+      if (vector) {
+        // One fallback per non-origin entry: nothing was vectorised.
+        EXPECT_EQ(run.stats.scalar_fallbacks, space.size() - 1) << what;
+      } else {
+        // SWAR was *asked* for the portable scan; only the vector kernel
+        // counts its degradation.
+        EXPECT_EQ(run.stats.scalar_fallbacks, 0u) << what;
+      }
+    }
   }
 }
 
@@ -214,54 +223,19 @@ TEST(KernelDispatch, VectorKernelsCountSimdBlocks) {
   ASSERT_TRUE(configs.packable);
   ASSERT_GE(configs.count(), 8u);
 
-  for (const DpKernel kernel : {DpKernel::kScalar, DpKernel::kSwar}) {
+  for (const DpKernel kernel : {DpKernel::kPerEntryEnum, DpKernel::kSwar}) {
     DpOptions options;
     options.kernel = kernel;
     const DpRun run = dp_bottom_up(rounded, space, configs, options);
     EXPECT_EQ(run.stats.simd_blocks, 0u) << dp_kernel_name(kernel);
     EXPECT_EQ(run.stats.scalar_fallbacks, 0u) << dp_kernel_name(kernel);
   }
-  for (const DpKernel kernel : {DpKernel::kAvx2, DpKernel::kAvx512}) {
-    if (resolve_dp_kernel(kernel) != kernel) continue;  // not supported here
+  if (dp_kernel_supported(DpKernel::kAvx2)) {
     DpOptions options;
-    options.kernel = kernel;
+    options.kernel = DpKernel::kAvx2;
     const DpRun run = dp_bottom_up(rounded, space, configs, options);
-    EXPECT_GT(run.stats.simd_blocks, 0u) << dp_kernel_name(kernel);
+    EXPECT_GT(run.stats.simd_blocks, 0u);
   }
-}
-
-TEST(KernelDispatch, PruningOffAlwaysRunsTheScalarScan) {
-  // LevelPruning::kOff is the pre-optimisation baseline: it bypasses the
-  // packed path entirely (no simd blocks, no fallback accounting) yet still
-  // reproduces the reference table.
-  const RoundedInstance rounded = make_rounded({6, 11}, {4, 4}, 40);
-  const std::vector<int> counts{4, 4};
-  const StateSpace space(counts, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  const DpRun reference = dp_bottom_up(rounded, space, configs);
-  for (const DpKernel kernel : kAllKernels) {
-    if (kernel == DpKernel::kPerEntryEnum) continue;  // no pruning knob
-    DpOptions options;
-    options.kernel = kernel;
-    options.pruning = LevelPruning::kOff;
-    const DpRun run = dp_bottom_up(rounded, space, configs, options);
-    expect_identical_tables(reference, run, dp_kernel_name(kernel));
-    EXPECT_EQ(run.stats.simd_blocks, 0u) << dp_kernel_name(kernel);
-    EXPECT_EQ(run.stats.scalar_fallbacks, 0u) << dp_kernel_name(kernel);
-    EXPECT_EQ(run.stats.configs_pruned, 0u) << dp_kernel_name(kernel);
-  }
-}
-
-TEST(KernelDispatch, HugePageTablesChangeNothing) {
-  const RoundedInstance rounded = make_rounded({6, 11}, {4, 4}, 40);
-  const std::vector<int> counts{4, 4};
-  const StateSpace space(counts, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  const DpRun reference = dp_bottom_up(rounded, space, configs);
-  DpOptions options;
-  options.table_alloc = TableAlloc::kHugePage;
-  const DpRun run = dp_bottom_up(rounded, space, configs, options);
-  expect_identical_tables(reference, run, "huge-page tables");
 }
 
 }  // namespace

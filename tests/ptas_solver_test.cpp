@@ -58,7 +58,7 @@ TEST(PtasSolver, AllEnginesProduceTheSameMakespan) {
 
     Time reference = -1;
     for (const DpEngine engine :
-         {DpEngine::kBottomUp, DpEngine::kTopDown, DpEngine::kParallelScan,
+         {DpEngine::kBottomUp, DpEngine::kParallelScan,
           DpEngine::kParallelBucketed, DpEngine::kSpmd}) {
       PtasOptions options;
       options.engine = engine;

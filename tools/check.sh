@@ -56,11 +56,11 @@ run_simd() {
   # Two trees at the extremes of the kernel-dispatch matrix (see
   # docs/performance.md): one compiled with an explicit -mavx2 so the AVX2
   # scan kernel is definitely built, and one with PCMAX_DISABLE_SIMD=ON so
-  # every vector kernel is compiled out and `auto` resolves to SWAR. Both
+  # the AVX2 kernel is compiled out and `auto` resolves to SWAR. Both
   # run the kernel-sensitive tests — the crosscheck matrix asserts every
-  # kernel x engine x iteration x sync x table-mode combination is
+  # kernel x engine x sync x table-mode x thread-count combination is
   # byte-identical, so these trees catch miscompiled kernels and broken
-  # degradation chains respectively.
+  # avx2 -> swar degradation respectively.
   local simd_tests=(ptas_dp_crosscheck_test ptas_kernel_dispatch_test
                     ptas_config_enum_test ptas_dp_test)
   echo "== SIMD tree (-mavx2): DP kernel tests =="

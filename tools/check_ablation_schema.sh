@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Golden-prefix check of the pcmax.ablation.v2 JSON document.
+# Golden-prefix check of the pcmax.ablation.v3 JSON document.
 #
 # Runs the ablation bench at smoke size and asserts (a) the document header
 # (schema tag + params block) is byte-identical to the tracked golden prefix
 # — JsonValue objects are insertion-ordered and dump() is deterministic, so
 # any drift here is a schema change that needs a version bump — and (b) the
-# v2 structural additions (host_best_kernel, per-variant kernel fields, the
-# simd_kernels sections and their aggregate) are present. The golden prefix
+# structural fields added in v2 (host_best_kernel, per-variant kernel
+# fields, the simd_kernels sections and their aggregate) are present. The golden prefix
 # deliberately stops before host_best_kernel: that value is host-dependent.
 #
 #   tools/check_ablation_schema.sh <ablation-binary> <golden-prefix-file>

@@ -79,15 +79,13 @@ int cmd_generate(int argc, const char* const* argv) {
 SolverBuild build_from_cli(double epsilon, unsigned threads, Executor* executor,
                            double exact_seconds, std::int64_t time_limit_ms,
                            const std::string& dp_sync = "barrier",
-                           const std::string& dp_kernel = "auto",
-                           bool dp_huge_pages = false) {
+                           const std::string& dp_kernel = "auto") {
   SolverBuild build;
   build.epsilon = epsilon;
   build.threads = threads;
   build.executor = executor;
   build.dp_sync = dp_sync;
   build.dp_kernel = dp_kernel;
-  build.dp_huge_pages = dp_huge_pages;
   build.exact_seconds =
       time_limit_ms > 0
           ? std::min(exact_seconds, static_cast<double>(time_limit_ms) / 1000.0)
@@ -156,10 +154,8 @@ int cmd_solve(int argc, const char* const* argv) {
                  "(barrier-free chunk graph; needs --pool=workstealing)");
   cli.add_string("dp-kernel", "auto",
                  "PTAS DP fits-test kernel: 'auto' (fastest supported), "
-                 "'per-entry-enum', 'scalar', 'swar', 'avx2', or 'avx512' "
-                 "(identical results for all)");
-  cli.add_bool("dp-huge-pages", false,
-               "request transparent huge pages for DP tables >= 2 MiB");
+                 "'per-entry-enum', 'swar', or 'avx2' (identical results "
+                 "for all)");
   cli.add_double("exact-seconds", 60.0, "budget for the exact solvers");
   cli.add_bool("schedules", false, "also print the full schedules");
   cli.add_int("limit", 0, "solve only the first N instances (0 = all)");
@@ -196,8 +192,7 @@ int cmd_solve(int argc, const char* const* argv) {
   const SolverBuild build =
       build_from_cli(cli.get_double("epsilon"), threads, executor.get(),
                      cli.get_double("exact-seconds"), time_limit_ms,
-                     cli.get_string("dp-sync"), cli.get_string("dp-kernel"),
-                     cli.get_bool("dp-huge-pages"));
+                     cli.get_string("dp-sync"), cli.get_string("dp-kernel"));
   const std::unique_ptr<Solver> solver =
       make_solver(cli.get_string("solver"), build, on_limit == "fallback");
 
@@ -271,10 +266,7 @@ int cmd_race(int argc, const char* const* argv) {
                  "racer: 'barrier' or 'counters'");
   cli.add_string("dp-kernel", "auto",
                  "PTAS DP fits-test kernel shared by the PTAS-family racers: "
-                 "'auto', 'per-entry-enum', 'scalar', 'swar', 'avx2', or "
-                 "'avx512'");
-  cli.add_bool("dp-huge-pages", false,
-               "request transparent huge pages for DP tables >= 2 MiB");
+                 "'auto', 'per-entry-enum', 'swar', or 'avx2'");
   cli.add_int("concurrent", 0,
               "max concurrently running heavy racers (0 = all at once, "
               "1 = deterministic sequential race)");
@@ -309,8 +301,7 @@ int cmd_race(int argc, const char* const* argv) {
   options.build = build_from_cli(cli.get_double("epsilon"), threads,
                                  executor.get(), cli.get_double("exact-seconds"),
                                  time_limit_ms, cli.get_string("dp-sync"),
-                                 cli.get_string("dp-kernel"),
-                                 cli.get_bool("dp-huge-pages"));
+                                 cli.get_string("dp-kernel"));
   options.max_concurrent = static_cast<unsigned>(cli.get_int("concurrent"));
   const std::string racers = cli.get_string("racers");
   for (std::size_t begin = 0; begin < racers.size();) {
