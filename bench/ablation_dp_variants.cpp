@@ -83,7 +83,7 @@ VariantStats run_variant(const VariantSpec& variant, InstanceFamily family,
     std::unique_ptr<Executor> executor;
     if (variant.engine == DpEngine::kParallelScan ||
         variant.engine == DpEngine::kParallelBucketed) {
-      executor = std::make_unique<ThreadPoolExecutor>(variant.threads);
+      executor = std::make_unique<WorkStealingExecutor>(variant.threads);
       options.executor = executor.get();
     }
     PtasSolver solver(options);

@@ -146,7 +146,7 @@ void BM_DpProbe(benchmark::State& state) {
   const RoundedInstance rounded = paper_scale_rounded();
   const StateSpace space(rounded.class_count, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
+  WorkStealingExecutor executor(static_cast<unsigned>(state.range(0)));
   ParallelDpOptions options;
   options.executor = &executor;
   options.variant = ParallelDpVariant::kBucketed;
@@ -163,7 +163,7 @@ void BM_DpParallelBucketed(benchmark::State& state) {
   const RoundedInstance rounded = fixture_rounded();
   const StateSpace space(rounded.class_count, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
+  WorkStealingExecutor executor(static_cast<unsigned>(state.range(0)));
   ParallelDpOptions options;
   options.executor = &executor;
   options.variant = ParallelDpVariant::kBucketed;
@@ -177,7 +177,7 @@ void BM_DpParallelScan(benchmark::State& state) {
   const RoundedInstance rounded = fixture_rounded();
   const StateSpace space(rounded.class_count, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
+  WorkStealingExecutor executor(static_cast<unsigned>(state.range(0)));
   ParallelDpOptions options;
   options.executor = &executor;
   options.variant = ParallelDpVariant::kScanPerLevel;
@@ -190,12 +190,12 @@ BENCHMARK(BM_DpParallelScan)->Arg(1)->Arg(2)->Arg(4);
 void BM_DynamicChunkSweep(benchmark::State& state) {
   // Audits the kScanChunk/kBucketChunk constants of dp_parallel.cpp: a
   // dynamic-schedule bucketed DP probe where the claim granularity is the
-  // benchmark argument. Run with 2 workers so the shared-counter contention
-  // that the chunk size amortises is actually present.
+  // benchmark argument. Run with 2 workers so the claim traffic that the
+  // chunk size amortises (owner and thief on one shard counter) is present.
   const RoundedInstance rounded = paper_scale_rounded();
   const StateSpace space(rounded.class_count, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   ParallelDpOptions options;
   options.executor = &executor;
   options.variant = ParallelDpVariant::kBucketed;

@@ -1,6 +1,7 @@
-// google-benchmark microbenchmarks of the parallel runtime: fork-join
-// overhead of the thread pool per schedule, barrier round-trips, and the
-// end-to-end cost of an empty level sweep.
+// google-benchmark microbenchmarks of the parallel runtime: episode
+// overhead of the work-stealing pool per claim granularity, barrier
+// round-trips, and the sequential executor baseline. bench/micro_pool
+// covers the pool's task graphs and level hand-off.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -14,44 +15,42 @@ namespace {
 using namespace pcmax;
 
 void BM_PoolForkJoin(benchmark::State& state) {
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    pool.run(1, [](std::size_t, std::size_t, unsigned) {});
+    pool.parallel_for_1d(1, [](std::size_t, std::size_t, unsigned) {});
   }
 }
 BENCHMARK(BM_PoolForkJoin)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_PoolParallelForStatic(benchmark::State& state) {
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
   std::atomic<long> sink{0};
   for (auto _ : state) {
-    pool.run(
-        4096,
-        [&](std::size_t begin, std::size_t end, unsigned) {
+    pool.parallel_for_1d(
+        4096, [&](std::size_t begin, std::size_t end, unsigned) {
           long local = 0;
           for (std::size_t i = begin; i < end; ++i) {
             local += static_cast<long>(i);
           }
           sink.fetch_add(local, std::memory_order_relaxed);
-        },
-        LoopSchedule::kStatic);
+        });
   }
   benchmark::DoNotOptimize(sink.load());
 }
 BENCHMARK(BM_PoolParallelForStatic)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_PoolParallelForRoundRobin(benchmark::State& state) {
-  // The paper's round-robin construct delivers singleton ranges, so this
-  // measures the per-iteration dispatch cost Algorithm 3 pays per entry.
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  // The round-robin schedule claims singleton ranges, so this measures the
+  // per-iteration dispatch cost Algorithm 3 pays per entry.
+  WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
   std::atomic<long> sink{0};
   for (auto _ : state) {
-    pool.run(
+    pool.parallel_for_1d(
         4096,
         [&](std::size_t begin, std::size_t, unsigned) {
           sink.fetch_add(static_cast<long>(begin), std::memory_order_relaxed);
         },
-        LoopSchedule::kRoundRobin);
+        /*chunk=*/1);
   }
   benchmark::DoNotOptimize(sink.load());
 }

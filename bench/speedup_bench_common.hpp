@@ -15,7 +15,7 @@
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_json.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/cli.hpp"
 #include "util/table_printer.hpp"
 
@@ -88,7 +88,7 @@ inline int run_speedup_figure(const std::string& figure, int machines, int jobs,
   std::optional<obs::Metrics> metrics;
   std::optional<obs::MetricsScope> metrics_scope;
   if (!metrics_path.empty()) {
-    metrics.emplace(ThreadPool::hardware_threads());
+    metrics.emplace(WorkStealingPool::hardware_threads());
     metrics_scope.emplace(*metrics);
   }
 

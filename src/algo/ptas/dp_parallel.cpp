@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <latch>
 #include <limits>
 #include <thread>
 
 #include "algo/ptas/dp_chunk_graph.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/barrier.hpp"
+#include "parallel/spawn.hpp"
 #include "parallel/work_stealing.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -37,21 +39,22 @@ namespace {
 // Loop granularities of the parallel sweeps. Audited with the chunk-sweep
 // micro-benchmark (bench/micro_dp.cpp, BM_DynamicChunkSweep; measurements
 // and methodology in docs/performance.md). On the paper-scale synthetic
-// the sweep measured ~10.7 ns/item of claim overhead at chunk 1, ~4.1 at
-// 16, ~3.2 at 64, flooring at ~2.9 by 256 — per-claim cost only amortises,
-// so the chunk choice trades claim overhead against tail imbalance on the
-// narrow anti-diagonals (paper-scale widths average ~120 entries).
+// with 2 work-stealing workers the sweep measured ~21 ns/item at chunk 1,
+// ~7 at 16, ~5.7 at 64, flooring at ~5 by 256 — per-claim cost only
+// amortises, so the chunk choice trades claim overhead against tail
+// imbalance on the narrow anti-diagonals (paper-scale widths average ~120
+// entries).
 //
 //  * kStaticChunk — compute_levels and the bucketed sweep run under
 //    LoopSchedule::kStatic, where the executor ignores the chunk argument
-//    and splits the range contiguously per worker (see
-//    ThreadPool::parallel_for_ranges). The constant exists so the call
-//    sites document that explicitly instead of passing a magic 1.
+//    and claims auto-sized slices (see LoopSchedule). The constant exists
+//    so the call sites document that explicitly instead of passing a
+//    magic 1.
 //  * kScanChunk — in the scan-per-level sweep most indices of a claimed
 //    chunk fail the `levels[i] == level` filter, so a dynamic claim must
-//    cover enough raw indices that the shared-counter fetch_add is
-//    amortised over the few entries actually processed; at 64 the claim
-//    overhead is ~1% of even a SWAR-fast entry's scan.
+//    cover enough raw indices that the claim's atomic update is amortised
+//    over the few entries actually processed; at 64 the claim overhead is
+//    ~1% of even a SWAR-fast entry's scan.
 constexpr std::size_t kStaticChunk = 1;
 constexpr std::size_t kScanChunk = 64;
 
@@ -338,9 +341,23 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
     }
   };
 
+  // Peers hold at `start` until every spawn has succeeded: a peer already in
+  // the level loop would wait at the barrier for participants that were
+  // never created. A failed spawn stamps stop_after = -1 before releasing
+  // the started peers, so they skip the loop entirely.
+  std::latch start(1);
   std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (unsigned w = 1; w < num_threads; ++w) threads.emplace_back(worker_fn, w);
+  spawn_threads(
+      threads, 1, num_threads, "spmd DP",
+      [&](unsigned w) {
+        start.wait();
+        worker_fn(w);
+      },
+      [&] {
+        stop_after.store(-1, std::memory_order_relaxed);
+        start.count_down();
+      });
+  start.count_down();
   worker_fn(0);
   for (auto& t : threads) t.join();
 

@@ -65,9 +65,11 @@ struct ParallelDpOptions {
   /// stay alive for the duration of the call. Ignored by kSpmd.
   Executor* executor = nullptr;
   ParallelDpVariant variant = ParallelDpVariant::kBucketed;
-  /// Iteration-assignment strategy inside a level of kScanPerLevel (paper:
-  /// round-robin). kBucketed always splits a level into contiguous rank
-  /// blocks, one per worker.
+  /// Claim granularity inside a level of kScanPerLevel on the work-stealing
+  /// executor: kStatic = auto chunk (~8 claims per worker), kRoundRobin =
+  /// single-iteration claims (the default, after the paper's round-robin
+  /// construct), kDynamic = claims of the sweep's fixed chunk. kBucketed
+  /// always runs its levels under kStatic.
   LoopSchedule schedule = LoopSchedule::kRoundRobin;
   /// Thread count for the kSpmd variant.
   unsigned spmd_threads = 1;

@@ -37,7 +37,10 @@ struct PtasOptions {
   /// Executor for the parallel engines; non-owning, must outlive the solver.
   /// Ignored by sequential engines and by kSpmd.
   Executor* executor = nullptr;
-  /// Per-level iteration assignment of kParallelScan (paper: round-robin).
+  /// Claim granularity of kParallelScan's per-level loop on the
+  /// work-stealing executor: kStatic = auto chunk (~8 claims per worker),
+  /// kRoundRobin = single-iteration claims (the default, after the paper's
+  /// round-robin construct), kDynamic = claims of the sweep's fixed chunk.
   LoopSchedule schedule = LoopSchedule::kRoundRobin;
   /// Thread count for the kSpmd engine.
   unsigned spmd_threads = 1;

@@ -6,7 +6,7 @@
 // the host. This module measures both on the actual machine so benches can
 // pass `--barrier-us auto`-style values instead of guessing:
 //
-//  * fork-join cost: median wall time of an empty ThreadPool region;
+//  * fork-join cost: median wall time of an empty work-stealing episode;
 //  * barrier cost: median round-trip of a P-participant Barrier cycle,
 //    measured inside an SPMD region;
 //  * per-entry cost: a reference DP probe timed and divided by its size.

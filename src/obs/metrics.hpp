@@ -46,10 +46,10 @@ inline constexpr bool kMetricsEnabled = false;
 /// Per-worker event counters. Sites without a natural worker identity
 /// (barrier arrivals, bisection probes, MIP nodes) record into slot 0.
 enum class Counter : unsigned {
-  kPoolRegions,        ///< fork-join regions executed (ThreadPool::run calls)
+  kPoolRegions,        ///< work-stealing episodes run (range and task graph)
   kPoolTasks,          ///< range-body invocations
   kPoolIterations,     ///< loop iterations processed
-  kPoolDynamicClaims,  ///< successful kDynamic chunk claims
+  kPoolDynamicClaims,  ///< range slices claimed (own shard or stolen)
   kPoolSteals,         ///< work items taken from another worker's shard/deque
   kPoolParks,          ///< idle park episodes of work-stealing workers
   kBarrierWaits,       ///< Barrier::arrive_and_wait calls
@@ -97,7 +97,7 @@ const char* counter_name(Counter counter);
 
 /// Duration accumulators.
 enum class Timer : unsigned {
-  kPoolRegion,      ///< ThreadPool::run wall time (caller side)
+  kPoolRegion,      ///< work-stealing episode wall time (caller side)
   kBarrierWait,     ///< time spent inside Barrier::arrive_and_wait
   kDpRun,           ///< whole DP table fill
   kDpLevel,         ///< one anti-diagonal level sweep

@@ -4,11 +4,16 @@
 
 #include "util/error.hpp"
 
-#if defined(PCMAX_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace pcmax {
+
+const char* loop_schedule_name(LoopSchedule schedule) {
+  switch (schedule) {
+    case LoopSchedule::kStatic: return "static";
+    case LoopSchedule::kRoundRobin: return "round-robin";
+    case LoopSchedule::kDynamic: return "dynamic";
+  }
+  throw InvalidArgumentError("unknown loop schedule");
+}
 
 void Executor::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                             LoopSchedule schedule, const CancellationToken& cancel) {
@@ -21,7 +26,7 @@ void Executor::parallel_for(std::size_t n, const std::function<void(std::size_t)
 }
 
 void SequentialExecutor::parallel_for_ranges(std::size_t n,
-                                             const ThreadPool::RangeBody& body,
+                                             const RangeBody& body,
                                              LoopSchedule /*schedule*/,
                                              std::size_t /*chunk*/,
                                              const CancellationToken& cancel) {
@@ -30,20 +35,11 @@ void SequentialExecutor::parallel_for_ranges(std::size_t n,
   body(0, n, 0);
 }
 
-ThreadPoolExecutor::ThreadPoolExecutor(unsigned num_threads) : pool_(num_threads) {}
-
-void ThreadPoolExecutor::parallel_for_ranges(std::size_t n,
-                                             const ThreadPool::RangeBody& body,
-                                             LoopSchedule schedule, std::size_t chunk,
-                                             const CancellationToken& cancel) {
-  pool_.run(n, body, schedule, chunk, cancel);
-}
-
 WorkStealingExecutor::WorkStealingExecutor(unsigned num_threads)
     : pool_(num_threads) {}
 
 void WorkStealingExecutor::parallel_for_ranges(std::size_t n,
-                                               const ThreadPool::RangeBody& body,
+                                               const RangeBody& body,
                                                LoopSchedule schedule,
                                                std::size_t chunk,
                                                const CancellationToken& cancel) {
@@ -52,8 +48,6 @@ void WorkStealingExecutor::parallel_for_ranges(std::size_t n,
       pool_.parallel_for_1d(n, body, /*chunk=*/0, cancel);
       break;
     case LoopSchedule::kRoundRobin:
-      // The strided assignment has no work-stealing analogue; singleton
-      // claims give the same granularity with stealable slices.
       pool_.parallel_for_1d(n, body, /*chunk=*/1, cancel);
       break;
     case LoopSchedule::kDynamic:
@@ -62,52 +56,6 @@ void WorkStealingExecutor::parallel_for_ranges(std::size_t n,
   }
 }
 
-#if defined(PCMAX_HAVE_OPENMP)
-OpenMPExecutor::OpenMPExecutor(unsigned num_threads) : num_threads_(num_threads) {
-  PCMAX_REQUIRE(num_threads >= 1, "OpenMP executor needs at least one thread");
-}
-
-void OpenMPExecutor::parallel_for_ranges(std::size_t n,
-                                         const ThreadPool::RangeBody& body,
-                                         LoopSchedule schedule, std::size_t chunk,
-                                         const CancellationToken& cancel) {
-  const auto in = static_cast<std::int64_t>(n);
-  const auto c = static_cast<std::int64_t>(std::max<std::size_t>(1, chunk));
-  // Exceptions must not escape an OpenMP worksharing region, so cancellation
-  // here skips the remaining bodies and the typed error is thrown after the
-  // region joins.
-  const bool armed = cancel.valid();
-  switch (schedule) {
-    case LoopSchedule::kStatic:
-#pragma omp parallel for num_threads(num_threads_) schedule(static)
-      for (std::int64_t i = 0; i < in; ++i) {
-        if (armed && cancel.cancel_requested()) continue;
-        const auto w = static_cast<unsigned>(omp_get_thread_num());
-        body(static_cast<std::size_t>(i), static_cast<std::size_t>(i) + 1, w);
-      }
-      break;
-    case LoopSchedule::kRoundRobin:
-      // OpenMP's schedule(static, 1) is exactly the round-robin assignment.
-#pragma omp parallel for num_threads(num_threads_) schedule(static, 1)
-      for (std::int64_t i = 0; i < in; ++i) {
-        if (armed && cancel.cancel_requested()) continue;
-        const auto w = static_cast<unsigned>(omp_get_thread_num());
-        body(static_cast<std::size_t>(i), static_cast<std::size_t>(i) + 1, w);
-      }
-      break;
-    case LoopSchedule::kDynamic:
-#pragma omp parallel for num_threads(num_threads_) schedule(dynamic, c)
-      for (std::int64_t i = 0; i < in; ++i) {
-        if (armed && cancel.cancel_requested()) continue;
-        const auto w = static_cast<unsigned>(omp_get_thread_num());
-        body(static_cast<std::size_t>(i), static_cast<std::size_t>(i) + 1, w);
-      }
-      break;
-  }
-  if (armed && cancel.cancel_requested()) cancel.check();
-}
-#endif  // PCMAX_HAVE_OPENMP
-
 std::unique_ptr<Executor> make_executor(const std::string& backend,
                                         unsigned num_threads) {
   PCMAX_REQUIRE(num_threads >= 1, "executor needs at least one thread");
@@ -115,18 +63,8 @@ std::unique_ptr<Executor> make_executor(const std::string& backend,
     PCMAX_REQUIRE(num_threads == 1, "sequential executor is single-threaded");
     return std::make_unique<SequentialExecutor>();
   }
-  if (backend == "threadpool") {
-    return std::make_unique<ThreadPoolExecutor>(num_threads);
-  }
-  if (backend == "workstealing" || backend == "work-stealing") {
+  if (backend == "workstealing") {
     return std::make_unique<WorkStealingExecutor>(num_threads);
-  }
-  if (backend == "openmp") {
-#if defined(PCMAX_HAVE_OPENMP)
-    return std::make_unique<OpenMPExecutor>(num_threads);
-#else
-    throw InvalidArgumentError("pcmax was built without OpenMP support");
-#endif
   }
   throw InvalidArgumentError("unknown executor backend: " + backend);
 }

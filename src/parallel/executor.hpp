@@ -5,14 +5,10 @@
 //
 //  * SequentialExecutor — inline execution; used by the sequential PTAS and
 //    as the P=1 baseline of all speedup experiments.
-//  * ThreadPoolExecutor — our own persistent pool (src/parallel/thread_pool).
-//  * WorkStealingExecutor — the work-stealing pool (src/parallel/
-//    work_stealing): per-worker atomic range shards with slice stealing
-//    instead of a shared claim counter, plus the task-graph substrate the
-//    barrier-free DP sweep (DpSyncMode::kCounters) runs on.
-//  * OpenMPExecutor     — optional backend using `#pragma omp`, kept for
-//    comparison with the paper's OpenMP implementation (compiled only when
-//    the toolchain provides OpenMP).
+//  * WorkStealingExecutor — the library's thread pool (src/parallel/
+//    work_stealing): per-worker atomic range shards with slice stealing,
+//    plus the task-graph substrate the barrier-free DP sweep
+//    (DpSyncMode::kCounters) runs on.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +16,26 @@
 #include <memory>
 #include <string>
 
-#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 
 namespace pcmax {
+
+/// How a parallel range is claimed by the work-stealing pool. Every value
+/// covers each iteration exactly once; idle workers steal unclaimed slices
+/// from loaded peers in all three.
+enum class LoopSchedule {
+  /// Auto chunk: about 8 contiguous claims per worker.
+  kStatic,
+  /// Single-iteration claims: the finest granularity, the paper's
+  /// round-robin "parallel for" (Section III) without its fixed strides.
+  kRoundRobin,
+  /// Claims of `chunk` consecutive iterations.
+  kDynamic,
+};
+
+/// Stable lowercase name ("static", "round-robin", "dynamic") for reports
+/// and metrics records.
+const char* loop_schedule_name(LoopSchedule schedule);
 
 /// Interface for running data-parallel ranges.
 class Executor {
@@ -33,7 +45,7 @@ class Executor {
   /// Degree of parallelism this executor targets (>= 1).
   [[nodiscard]] virtual unsigned concurrency() const = 0;
 
-  /// Short backend name for reports ("sequential", "threadpool", "openmp").
+  /// Short backend name for reports ("sequential", "workstealing").
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Runs `body(begin, end, worker)` over [0, n), blocking until complete.
@@ -44,7 +56,7 @@ class Executor {
   /// (DeadlineExceededError / CancelledError). The default-constructed token
   /// disables the checks. The default argument lives on the base declaration
   /// only; call through `Executor` when relying on it.
-  virtual void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
+  virtual void parallel_for_ranges(std::size_t n, const RangeBody& body,
                                    LoopSchedule schedule, std::size_t chunk,
                                    const CancellationToken& cancel = {}) = 0;
 
@@ -59,35 +71,13 @@ class SequentialExecutor final : public Executor {
  public:
   [[nodiscard]] unsigned concurrency() const override { return 1; }
   [[nodiscard]] std::string name() const override { return "sequential"; }
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
+  void parallel_for_ranges(std::size_t n, const RangeBody& body,
                            LoopSchedule schedule, std::size_t chunk,
                            const CancellationToken& cancel) override;
 };
 
-/// Executor backed by the library's own persistent thread pool.
-class ThreadPoolExecutor final : public Executor {
- public:
-  /// Creates the executor with its own pool of `num_threads` workers.
-  explicit ThreadPoolExecutor(unsigned num_threads);
-
-  [[nodiscard]] unsigned concurrency() const override { return pool_.size(); }
-  [[nodiscard]] std::string name() const override { return "threadpool"; }
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
-                           LoopSchedule schedule, std::size_t chunk,
-                           const CancellationToken& cancel) override;
-
-  /// Direct access to the underlying pool (e.g. for SPMD algorithms).
-  [[nodiscard]] ThreadPool& pool() { return pool_; }
-
- private:
-  ThreadPool pool_;
-};
-
-/// Executor backed by the work-stealing pool. The schedule maps onto the
-/// claim granularity of the range-split machinery: kStatic picks the
-/// auto-chunk (~8 claims per worker), kRoundRobin claims single iterations,
-/// kDynamic claims `chunk`-sized slices — in every case idle workers steal
-/// remaining slices from loaded peers, which is the point of the backend.
+/// Executor backed by the work-stealing pool; LoopSchedule documents how
+/// each schedule maps onto the pool's claim granularity.
 class WorkStealingExecutor final : public Executor {
  public:
   /// Creates the executor with its own pool of `num_threads` workers.
@@ -95,7 +85,7 @@ class WorkStealingExecutor final : public Executor {
 
   [[nodiscard]] unsigned concurrency() const override { return pool_.size(); }
   [[nodiscard]] std::string name() const override { return "workstealing"; }
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
+  void parallel_for_ranges(std::size_t n, const RangeBody& body,
                            LoopSchedule schedule, std::size_t chunk,
                            const CancellationToken& cancel) override;
 
@@ -106,27 +96,8 @@ class WorkStealingExecutor final : public Executor {
   WorkStealingPool pool_;
 };
 
-#if defined(PCMAX_HAVE_OPENMP)
-/// Executor backed by OpenMP worksharing, mirroring the paper's
-/// implementation substrate.
-class OpenMPExecutor final : public Executor {
- public:
-  explicit OpenMPExecutor(unsigned num_threads);
-
-  [[nodiscard]] unsigned concurrency() const override { return num_threads_; }
-  [[nodiscard]] std::string name() const override { return "openmp"; }
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
-                           LoopSchedule schedule, std::size_t chunk,
-                           const CancellationToken& cancel) override;
-
- private:
-  unsigned num_threads_;
-};
-#endif  // PCMAX_HAVE_OPENMP
-
-/// Creates an executor by backend name: "sequential", "threadpool",
-/// "workstealing", or "openmp" (if compiled in). Throws InvalidArgumentError
-/// for unknown names or an unavailable backend.
+/// Creates an executor by backend name: "sequential" (num_threads must be
+/// 1) or "workstealing". Throws InvalidArgumentError for unknown names.
 std::unique_ptr<Executor> make_executor(const std::string& backend,
                                         unsigned num_threads);
 

@@ -5,6 +5,7 @@
 #include <exception>
 
 #include "obs/metrics.hpp"
+#include "parallel/spawn.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -158,10 +159,14 @@ WorkStealingPool::WorkStealingPool(unsigned num_threads)
   for (unsigned w = 0; w < num_threads; ++w) {
     deques_.push_back(std::make_unique<ChaseLevDeque>());
   }
-  threads_.reserve(num_threads - 1);
-  for (unsigned w = 1; w < num_threads; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
-  }
+  spawn_threads(
+      threads_, 1, num_threads, "work-stealing pool",
+      [this](unsigned w) { worker_loop(w); },
+      [this] {
+        std::lock_guard lock(mutex_);
+        shutting_down_ = true;
+        start_cv_.notify_all();
+      });
 }
 
 WorkStealingPool::~WorkStealingPool() {
@@ -204,9 +209,9 @@ void WorkStealingPool::worker_loop(unsigned worker) {
 void WorkStealingPool::run_episode(Episode& episode) {
   {
     std::unique_lock lock(mutex_);
-    // Concurrent external callers are serialised, as in ThreadPool::run
-    // (calling from inside a worker body is handled by the nested-inline
-    // paths of the entry points and never reaches here).
+    // Concurrent external callers are serialised (calling from inside a
+    // worker body is handled by the nested-inline paths of the entry points
+    // and never reaches here).
     idle_cv_.wait(lock, [&] { return episode_ == nullptr; });
     if (episode.kind == Episode::Kind::kTasks) {
       // Episodes start from quiescent deques; sizing them to the task bound

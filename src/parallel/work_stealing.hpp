@@ -1,10 +1,5 @@
-// A work-stealing worker pool in the pthreadpool mould.
-//
-// The ThreadPool in thread_pool.hpp distributes a parallel range with a
-// shared claim counter: cheap, but every claim is a contended fetch_add and
-// an idle worker has no way to help a loaded one beyond the granularity of
-// that counter. This pool replaces the shared counter with the two classic
-// work-distribution structures:
+// The library's thread pool: a work-stealing worker pool in the pthreadpool
+// mould. Every threaded Executor (WorkStealingExecutor) runs on it.
 //
 //  * parallel_for_1d/2d — atomic range-split items: every worker owns a
 //    {remaining, range_end} pair; the owner and thieves decrement the same
@@ -22,13 +17,12 @@
 // futex wait) and are unparked by the first spawn that observes a parked
 // peer — a worker burns no CPU while the graph has no ready work. The
 // calling thread participates as worker 0, so a pool built for P-way
-// parallelism spawns P-1 OS threads, exactly like ThreadPool.
+// parallelism spawns P-1 OS threads and never oversubscribes.
 //
 // Observability: successful steals count into obs::Counter::kPoolSteals and
 // hit the deterministic fault-injection site "pool.steal"; parks count into
-// kPoolParks. Cancellation, error propagation, and the caller-is-worker-0
-// convention all match ThreadPool so WorkStealingExecutor is a drop-in
-// Executor backend.
+// kPoolParks. A cancelled token stops an episode at the next claim and the
+// entry point rethrows the token's typed error once the episode has joined.
 #pragma once
 
 #include <atomic>
@@ -42,10 +36,14 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
 #include "util/deadline.hpp"
 
 namespace pcmax {
+
+/// Body of a parallel range: receives the half-open iteration range this
+/// call must process and the executing worker id in [0, size()).
+using RangeBody =
+    std::function<void(std::size_t begin, std::size_t end, unsigned worker)>;
 
 /// Fixed-capacity Chase-Lev deque of 32-bit task ids. The owner pushes and
 /// pops at the bottom (LIFO); thieves steal from the top (FIFO) with a CAS.
@@ -88,13 +86,11 @@ class ChaseLevDeque {
 
 /// Persistent work-stealing pool. All entry points block until the episode
 /// completes and rethrow the first exception a body threw (after the episode
-/// joins, like ThreadPool::run). Entry points called from inside a pool
-/// worker (nested parallelism) execute inline on the calling worker.
+/// joins). Concurrent calls from different external threads are serialised;
+/// entry points called from inside a pool worker (nested parallelism)
+/// execute inline on the calling worker.
 class WorkStealingPool {
  public:
-  /// Body of a range episode — identical contract to ThreadPool::RangeBody.
-  using RangeBody = ThreadPool::RangeBody;
-
   /// Body of a 2-d tile: receives the half-open row/column ranges of one
   /// tile and the executing worker id.
   using TileBody = std::function<void(std::size_t row_begin, std::size_t row_end,
@@ -126,7 +122,9 @@ class WorkStealingPool {
   using TaskBody = std::function<void(std::uint32_t task, TaskContext& context)>;
 
   /// Creates a pool with `num_threads` workers (>= 1); the constructing
-  /// thread acts as worker 0 during episodes.
+  /// thread acts as worker 0 during episodes. Throws ResourceLimitError
+  /// (after joining the workers already started) when the OS refuses a
+  /// worker thread.
   explicit WorkStealingPool(unsigned num_threads);
   ~WorkStealingPool();
 
@@ -192,9 +190,9 @@ class WorkStealingPool {
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<ChaseLevDeque>> deques_;
 
-  // Episode dispatch (same protocol as ThreadPool, with every notify issued
-  // under the lock so the destructor's quiescence wait is a full barrier —
-  // the drain-before-join ordering).
+  // Episode dispatch, with every notify issued under the lock so the
+  // destructor's quiescence wait is a full barrier — the drain-before-join
+  // ordering.
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;

@@ -8,6 +8,7 @@
 #include "core/resilient_solver.hpp"
 #include "core/variant.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/spawn.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -93,10 +94,9 @@ ServiceShard::ServiceShard(
   if (cache_capacity > 0) {
     cache_ = std::make_unique<ResultCache>(cache_capacity);
   }
-  workers_.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+  spawn_threads(
+      workers_, 0, workers, "service shard",
+      [this](unsigned) { worker_loop(); }, [this] { queue_->close(); });
 }
 
 ServiceShard::~ServiceShard() {

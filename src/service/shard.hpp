@@ -73,7 +73,8 @@ class ServiceShard {
   /// executor-lane set (owned by the front end, outlives every shard).
   /// `release_tenant` returns one global tenant-quota slot; called when a
   /// worker pops a request (coalescing re-dispatch cannot double-free).
-  /// `workers` threads start immediately.
+  /// `workers` threads start immediately; if the OS refuses one, the
+  /// started ones are joined and ResourceLimitError is thrown.
   ServiceShard(int index, const ServiceOptions& options,
                std::size_t queue_capacity, std::size_t cache_capacity,
                std::size_t saturation_watermark, unsigned workers,

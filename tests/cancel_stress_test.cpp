@@ -53,7 +53,7 @@ TEST(CancelStress, ManyThreadsHammerOneToken) {
 TEST(CancelStress, ConcurrentCancelDuringParallelDpEngines) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 8, 60, 5, 0);
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
                           DpEngine::kSpmd}) {
     for (int round = 0; round < 4; ++round) {
@@ -88,7 +88,7 @@ TEST(CancelStress, ConcurrentCancelDuringParallelDpEngines) {
 TEST(CancelStress, DeadlineExpiryRacesTheSolve) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 8, 60, 5, 0);
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   for (int round = 0; round < 6; ++round) {
     PtasOptions options;
     options.engine = DpEngine::kParallelBucketed;

@@ -80,7 +80,7 @@ class FlakyExecutor final : public Executor {
   [[nodiscard]] unsigned concurrency() const override { return 1; }
   [[nodiscard]] std::string name() const override { return "flaky"; }
 
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
+  void parallel_for_ranges(std::size_t n, const RangeBody& body,
                            LoopSchedule, std::size_t,
                            const CancellationToken& cancel) override {
     if (remaining_-- <= 0) throw std::runtime_error("injected executor failure");
@@ -108,7 +108,7 @@ TEST(FailureInjection, HealthyExecutorAfterFailureStillWorks) {
   // retried on the same executor succeeds.
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 4, 20, 2, 0);
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   // Inject one failing region directly, then reuse the pool for a solve.
   EXPECT_THROW(executor.parallel_for_ranges(
                    1,
@@ -141,7 +141,7 @@ Instance fault_instance() {
 
 TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
   const Instance instance = fault_instance();
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
                           DpEngine::kSpmd}) {
     CancellationToken token = CancellationToken::make();
@@ -175,7 +175,7 @@ TEST(FaultInjection, CancelAtNthBisectionProbeAbortsTheSolve) {
 
 TEST(FaultInjection, ThrowAtNthExecutorTaskPropagatesAndPoolSurvives) {
   const Instance instance = fault_instance();
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   {
     FaultInjector injector("pool.task", /*fire_at=*/4,
                            FaultInjector::Action::kThrow);
@@ -196,7 +196,7 @@ TEST(FaultInjection, ThrowAtNthExecutorTaskPropagatesAndPoolSurvives) {
 
 TEST(FaultInjection, CancelMidDpLeavesThePoolReusable) {
   const Instance instance = fault_instance();
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   {
     CancellationToken token = CancellationToken::make();
     FaultInjector injector("dp.level", /*fire_at=*/3,
@@ -475,7 +475,7 @@ TEST(FaultSiteRegistry, EnumeratesEverySiteTheSubsystemsHit) {
   const Instance instance = fault_instance();
   {
     // Parallel PTAS: bisection.probe, dp.level, pool.task.
-    ThreadPoolExecutor executor(2);
+    WorkStealingExecutor executor(2);
     PtasOptions options;
     options.engine = DpEngine::kParallelScan;
     options.executor = &executor;

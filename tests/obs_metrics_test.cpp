@@ -258,7 +258,7 @@ TEST(MetricsDp, PerWorkerEntryTotalsSumToStateSpaceSize) {
   const std::uint64_t sigma = f.space.size();
   for (const unsigned threads : {1u, 4u}) {
     const auto metrics = collect(threads, [&] {
-      ThreadPoolExecutor executor(threads);
+      WorkStealingExecutor executor(threads);
       for (const ParallelDpVariant variant :
            {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed,
             ParallelDpVariant::kSpmd}) {
@@ -297,19 +297,19 @@ TEST(MetricsDp, PoolCountersObserveLoopShape) {
   if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
   constexpr std::size_t kIterations = 1000;
   const auto metrics = collect(4, [&] {
-    ThreadPool pool(4);
+    WorkStealingPool pool(4);
     std::atomic<std::uint64_t> touched{0};
-    pool.run(
+    pool.parallel_for_1d(
         kIterations,
         [&](std::size_t begin, std::size_t end, unsigned) {
           touched.fetch_add(end - begin, std::memory_order_relaxed);
         },
-        LoopSchedule::kDynamic, /*chunk=*/16);
+        /*chunk=*/16);
     ASSERT_EQ(touched.load(), kIterations);
   });
   EXPECT_EQ(metrics->counter_total(obs::Counter::kPoolRegions), 1u);
   EXPECT_EQ(metrics->counter_total(obs::Counter::kPoolIterations), kIterations);
-  // Every dynamic claim covers <= chunk iterations.
+  // Every slice claim covers <= chunk iterations.
   EXPECT_GE(metrics->counter_total(obs::Counter::kPoolDynamicClaims),
             kIterations / 16);
   EXPECT_EQ(metrics->timer(obs::Timer::kPoolRegion).calls, 1u);
@@ -323,7 +323,7 @@ TEST(MetricsJson, ExportRoundTripsAndMatchesSchema) {
   if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
   Fixture f;
   const auto metrics = collect(2, [&] {
-    ThreadPoolExecutor executor(2);
+    WorkStealingExecutor executor(2);
     ParallelDpOptions options;
     options.executor = &executor;
     options.variant = ParallelDpVariant::kBucketed;

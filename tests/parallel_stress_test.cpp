@@ -1,5 +1,5 @@
-// Concurrency stress tests for ThreadPool, designed to run under
-// ThreadSanitizer (ctest -L sanitize on a PCMAX_SANITIZE=thread build).
+// Concurrency stress tests for the work-stealing executor, designed to run
+// under ThreadSanitizer (ctest -L sanitize on a PCMAX_SANITIZE=thread build).
 // Each case hammers one contract hard but briefly (<~2s): region
 // serialisation across external submitter threads, iteration conservation
 // under every LoopSchedule, exception propagation from dynamic regions, and
@@ -9,13 +9,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/executor.hpp"
 
 namespace pcmax {
 namespace {
@@ -24,10 +25,10 @@ constexpr LoopSchedule kAllSchedules[] = {
     LoopSchedule::kStatic, LoopSchedule::kRoundRobin, LoopSchedule::kDynamic};
 
 TEST(ParallelStress, ExternalSubmittersSerialiseOnOnePool) {
-  // `run` documents that concurrent calls from different external threads
+  // The pool documents that concurrent calls from different external threads
   // are serialised. Hammer one pool from several submitters at once; every
   // region must still process each of its iterations exactly once.
-  ThreadPool pool(4);
+  const std::unique_ptr<Executor> pool = make_executor("workstealing", 4);
   constexpr int kSubmitters = 6;
   constexpr int kRegionsPerSubmitter = 40;
   constexpr std::size_t kIterations = 512;
@@ -40,7 +41,7 @@ TEST(ParallelStress, ExternalSubmittersSerialiseOnOnePool) {
       const LoopSchedule schedule = kAllSchedules[s % 3];
       for (int r = 0; r < kRegionsPerSubmitter; ++r) {
         std::vector<std::uint8_t> hits(kIterations, 0);
-        pool.run(
+        pool->parallel_for_ranges(
             kIterations,
             [&hits](std::size_t begin, std::size_t end, unsigned) {
               for (std::size_t i = begin; i < end; ++i) hits[i] += 1;
@@ -64,13 +65,13 @@ TEST(ParallelStress, EverySchedulePartitionsWithoutOverlap) {
   // For each schedule, per-worker iteration sets must partition [0, n):
   // writing the worker id into a shared array and checking coverage makes
   // any double assignment a visible value clash (and a TSan race).
-  ThreadPool pool(8);
+  const std::unique_ptr<Executor> pool = make_executor("workstealing", 8);
   for (const LoopSchedule schedule : kAllSchedules) {
     for (const std::size_t n : {std::size_t{1}, std::size_t{7},
                                 std::size_t{64}, std::size_t{100000}}) {
       std::vector<std::int8_t> owner(n, -1);
-      std::vector<std::uint64_t> per_worker(pool.size(), 0);
-      pool.run(
+      std::vector<std::uint64_t> per_worker(pool->concurrency(), 0);
+      pool->parallel_for_ranges(
           n,
           [&](std::size_t begin, std::size_t end, unsigned worker) {
             for (std::size_t i = begin; i < end; ++i) {
@@ -93,11 +94,11 @@ TEST(ParallelStress, EverySchedulePartitionsWithoutOverlap) {
 }
 
 TEST(ParallelStress, DynamicExceptionPropagatesAndPoolSurvives) {
-  ThreadPool pool(4);
+  const std::unique_ptr<Executor> pool = make_executor("workstealing", 4);
   for (int round = 0; round < 25; ++round) {
     std::atomic<std::uint64_t> before_throw{0};
     try {
-      pool.run(
+      pool->parallel_for_ranges(
           10000,
           [&](std::size_t begin, std::size_t end, unsigned) {
             for (std::size_t i = begin; i < end; ++i) {
@@ -112,23 +113,26 @@ TEST(ParallelStress, DynamicExceptionPropagatesAndPoolSurvives) {
     }
     // The pool must remain fully usable after an exceptional region.
     std::atomic<std::uint64_t> total{0};
-    pool.run(1000, [&](std::size_t begin, std::size_t end, unsigned) {
-      total.fetch_add(end - begin, std::memory_order_relaxed);
-    });
+    pool->parallel_for_ranges(
+        1000,
+        [&](std::size_t begin, std::size_t end, unsigned) {
+          total.fetch_add(end - begin, std::memory_order_relaxed);
+        },
+        LoopSchedule::kStatic, /*chunk=*/1);
     ASSERT_EQ(total.load(), 1000u);
   }
 }
 
 TEST(ParallelStress, ExceptionsFromMultipleWorkersPickOne) {
-  ThreadPool pool(8);
+  const std::unique_ptr<Executor> pool = make_executor("workstealing", 8);
   for (const LoopSchedule schedule : kAllSchedules) {
     try {
-      pool.run(
+      pool->parallel_for_ranges(
           8000,
           [](std::size_t, std::size_t, unsigned worker) {
             throw std::runtime_error("worker " + std::to_string(worker));
           },
-          schedule);
+          schedule, /*chunk=*/1);
       FAIL() << "exception did not propagate";
     } catch (const std::runtime_error& error) {
       EXPECT_EQ(std::string(error.what()).rfind("worker ", 0), 0u);
@@ -142,11 +146,11 @@ TEST(ParallelStress, MetricsRecordingUnderContention) {
   // conserve totals exactly.
   obs::Metrics metrics(8);
   const obs::MetricsScope scope(metrics);
-  ThreadPool pool(8);
+  const std::unique_ptr<Executor> pool = make_executor("workstealing", 8);
   constexpr int kRegions = 60;
   constexpr std::size_t kIterations = 4096;
   for (int r = 0; r < kRegions; ++r) {
-    pool.run(
+    pool->parallel_for_ranges(
         kIterations,
         [&metrics](std::size_t begin, std::size_t end, unsigned worker) {
           metrics.add(worker, obs::Counter::kDpEntries, end - begin);
@@ -171,11 +175,15 @@ TEST(ParallelStress, MetricsRecordingUnderContention) {
 TEST(ParallelStress, PoolConstructionTeardownChurn) {
   // Races in worker startup/shutdown handshakes only show up under churn.
   for (int round = 0; round < 40; ++round) {
-    ThreadPool pool(1 + round % 8);
+    const std::unique_ptr<Executor> pool =
+        make_executor("workstealing", 1 + static_cast<unsigned>(round % 8));
     std::atomic<std::uint64_t> total{0};
-    pool.run(256, [&](std::size_t begin, std::size_t end, unsigned) {
-      total.fetch_add(end - begin, std::memory_order_relaxed);
-    });
+    pool->parallel_for_ranges(
+        256,
+        [&](std::size_t begin, std::size_t end, unsigned) {
+          total.fetch_add(end - begin, std::memory_order_relaxed);
+        },
+        LoopSchedule::kStatic, /*chunk=*/1);
     ASSERT_EQ(total.load(), 256u);
   }
 }

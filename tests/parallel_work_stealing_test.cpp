@@ -68,7 +68,8 @@ TEST(WorkStealingPool, RangeCoversEveryIndexExactlyOnce) {
             n,
             [&](std::size_t begin, std::size_t end, unsigned worker) {
               ASSERT_LT(worker, threads);
-              ASSERT_LE(begin, end);
+              // Slices are never empty, so n = 0 must not call the body.
+              ASSERT_LT(begin, end);
               ASSERT_LE(end, n);
               for (std::size_t i = begin; i < end; ++i) {
                 hits[i].fetch_add(1, std::memory_order_relaxed);
@@ -423,11 +424,13 @@ TEST(WorkStealingExecutor, AdaptsThePoolBehindTheExecutorInterface) {
     }
   }
 
-  // The factory resolves both spellings and rejects unknown backends.
-  const std::unique_ptr<Executor> made = make_executor("workstealing", 2);
+  // The factory builds it at the host's width under its one name.
+  EXPECT_GE(WorkStealingPool::hardware_threads(), 1u);
+  const std::unique_ptr<Executor> made =
+      make_executor("workstealing", WorkStealingPool::hardware_threads());
   EXPECT_EQ(made->name(), "workstealing");
-  const std::unique_ptr<Executor> dashed = make_executor("work-stealing", 2);
-  EXPECT_EQ(dashed->name(), "workstealing");
+  EXPECT_EQ(made->concurrency(), WorkStealingPool::hardware_threads());
+  EXPECT_THROW(make_executor("work-stealing", 2), InvalidArgumentError);
   EXPECT_THROW(make_executor("bogus-backend", 2), InvalidArgumentError);
 }
 

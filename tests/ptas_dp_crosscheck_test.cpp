@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_chunk_graph.hpp"
@@ -146,7 +145,7 @@ TEST(DpCrossCheck, AllVariantsAndSchedulesMatchSequentialOnRandomShapes) {
   constexpr LoopSchedule kSchedules[] = {
       LoopSchedule::kStatic, LoopSchedule::kRoundRobin, LoopSchedule::kDynamic};
   Xoshiro256StarStar rng(0xDECADE);
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   for (int round = 0; round < 8; ++round) {
     const Time target = uniform_int(rng, 25, 60);
     const int dims = static_cast<int>(uniform_int(rng, 1, 3));
@@ -191,7 +190,7 @@ TEST(DpCrossCheck, PruningAndTableModesAgreeAcrossKernelsAndVariants) {
   // so it has nothing to prune) — byte for byte where choices exist, value
   // for value everywhere — while only the scan accounting changes.
   Xoshiro256StarStar rng(0xFACADE);
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   for (int round = 0; round < 6; ++round) {
     const Time target = uniform_int(rng, 25, 60);
     const int dims = static_cast<int>(uniform_int(rng, 1, 3));
@@ -260,13 +259,12 @@ TEST(DpCrossCheck, PruningAndTableModesAgreeAcrossKernelsAndVariants) {
 TEST(DpCrossCheck, SyncModePoolThreadMatrixMatchesSequential) {
   // The determinism matrix gating the work-stealing pool and the
   // barrier-free counters sweep:
-  //   {bucketed, spmd} x {barrier, counters}
-  //   x {threadpool, workstealing} x threads {1, 3, 8}
-  // Every admissible combination must reproduce the sequential bottom-up
-  // table byte for byte (values AND argmin choices), compute each entry
-  // exactly once, and conserve scans + pruned against the unpruned scan
-  // total. (bucketed+counters needs the work-stealing executor — the
-  // threadpool cell is the rejection asserted after the matrix.)
+  //   {bucketed, spmd} x {barrier, counters} x threads {1, 3, 8}
+  // Every combination must reproduce the sequential bottom-up table byte
+  // for byte (values AND argmin choices), compute each entry exactly once,
+  // and conserve scans + pruned against the unpruned scan total.
+  // (bucketed+counters needs the work-stealing executor — a sequential
+  // executor is the rejection asserted after the matrix.)
   Xoshiro256StarStar rng(0xB00C5);
   for (int round = 0; round < 3; ++round) {
     const Time target = uniform_int(rng, 25, 60);
@@ -284,56 +282,48 @@ TEST(DpCrossCheck, SyncModePoolThreadMatrixMatchesSequential) {
     const DpRun reference = dp_bottom_up(rounded, space, configs);
 
     for (const unsigned threads : {1u, 3u, 8u}) {
-      for (const char* backend : {"threadpool", "workstealing"}) {
-        const std::unique_ptr<Executor> executor =
-            make_executor(backend, threads);
-        for (const ParallelDpVariant variant :
-             {ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd}) {
-          for (const DpSyncMode sync :
-               {DpSyncMode::kBarrier, DpSyncMode::kCounters}) {
-            if (sync == DpSyncMode::kCounters &&
-                variant == ParallelDpVariant::kBucketed &&
-                std::string(backend) != "workstealing") {
-              continue;  // inadmissible: rejection asserted below
-            }
-            ParallelDpOptions options;
-            options.executor = executor.get();
-            options.variant = variant;
-            options.spmd_threads = threads;
-            options.sync_mode = sync;
-            const std::string what =
-                parallel_dp_variant_name(variant) + "/" +
-                dp_sync_mode_name(sync) + "/" + backend + "/t" +
-                std::to_string(threads) + " round " + std::to_string(round);
-            const DpRun run = dp_parallel(rounded, space, configs, options);
-            expect_identical_tables(reference, run, what);
-            EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
-            EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
-                      full_scans)
-                << what;
+      WorkStealingExecutor executor(threads);
+      for (const ParallelDpVariant variant :
+           {ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd}) {
+        for (const DpSyncMode sync :
+             {DpSyncMode::kBarrier, DpSyncMode::kCounters}) {
+          ParallelDpOptions options;
+          options.executor = &executor;
+          options.variant = variant;
+          options.spmd_threads = threads;
+          options.sync_mode = sync;
+          const std::string what =
+              parallel_dp_variant_name(variant) + "/" +
+              dp_sync_mode_name(sync) + "/t" + std::to_string(threads) +
+              " round " + std::to_string(round);
+          const DpRun run = dp_parallel(rounded, space, configs, options);
+          expect_identical_tables(reference, run, what);
+          EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
+          EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
+                    full_scans)
+              << what;
 
-            // Values-only probe mode of the same cell: value equality
-            // against the reference, no choice array.
-            options.table_mode = DpTableMode::kValuesOnly;
-            const DpRun probe = dp_parallel(rounded, space, configs, options);
-            EXPECT_FALSE(probe.table.has_choices()) << what;
-            EXPECT_EQ(probe.machines_needed, reference.machines_needed) << what;
-            for (std::size_t i = 0; i < space.size(); ++i) {
-              ASSERT_EQ(probe.table.value(i), reference.table.value(i))
-                  << what << " values-only entry " << i;
-            }
-            EXPECT_EQ(probe.stats.config_scans + probe.stats.configs_pruned,
-                      full_scans)
-                << what;
+          // Values-only probe mode of the same cell: value equality
+          // against the reference, no choice array.
+          options.table_mode = DpTableMode::kValuesOnly;
+          const DpRun probe = dp_parallel(rounded, space, configs, options);
+          EXPECT_FALSE(probe.table.has_choices()) << what;
+          EXPECT_EQ(probe.machines_needed, reference.machines_needed) << what;
+          for (std::size_t i = 0; i < space.size(); ++i) {
+            ASSERT_EQ(probe.table.value(i), reference.table.value(i))
+                << what << " values-only entry " << i;
           }
+          EXPECT_EQ(probe.stats.config_scans + probe.stats.configs_pruned,
+                    full_scans)
+              << what;
         }
       }
     }
 
     // Inadmissible cells reject loudly instead of silently degrading.
-    const std::unique_ptr<Executor> threadpool = make_executor("threadpool", 2);
+    SequentialExecutor sequential;
     ParallelDpOptions bad;
-    bad.executor = threadpool.get();
+    bad.executor = &sequential;
     bad.variant = ParallelDpVariant::kBucketed;
     bad.sync_mode = DpSyncMode::kCounters;
     EXPECT_THROW(dp_parallel(rounded, space, configs, bad),
@@ -470,7 +460,7 @@ TEST(DpCrossCheck, MetricsEntryTotalsAgreeAcrossVariantsAndSchedules) {
   const RoundedInstance rounded = make_rounded({8, 12, 19}, {3, 3, 2}, 38);
   const StateSpace space(std::vector<int>{3, 3, 2}, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   obs::Metrics metrics(4);
   const obs::MetricsScope scope(metrics);
   std::size_t expected_runs = 0;

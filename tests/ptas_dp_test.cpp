@@ -105,7 +105,7 @@ TEST_P(ParallelDpEquivalence, ProducesTheExactBottomUpTable) {
     options.variant = variant;
     options.schedule = schedule;
     options.spmd_threads = threads;
-    ThreadPoolExecutor executor(threads);
+    WorkStealingExecutor executor(threads);
     options.executor = &executor;
 
     const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
@@ -148,33 +148,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          LoopSchedule::kDynamic)),
     equivalence_name);
 
-#if defined(PCMAX_HAVE_OPENMP)
-TEST(DpParallelOpenMP, MatchesBottomUpThroughTheOpenMPBackend) {
-  // The paper's implementation substrate: OpenMP worksharing must produce
-  // the same tables as our own pool (and as the sequential fill).
-  DpFixture f({9, 13, 17}, {3, 2, 2}, 40);
-  const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs);
-  OpenMPExecutor executor(3);
-  for (const auto variant :
-       {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
-    ParallelDpOptions options;
-    options.variant = variant;
-    options.executor = &executor;
-    options.schedule = LoopSchedule::kRoundRobin;
-    const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
-    EXPECT_EQ(run.machines_needed, expected.machines_needed);
-    for (std::size_t i = 0; i < f.space.size(); ++i) {
-      ASSERT_EQ(run.table.value(i), expected.table.value(i))
-          << parallel_dp_variant_name(variant) << " " << i;
-    }
-  }
-}
-#endif  // PCMAX_HAVE_OPENMP
-
 TEST(ComputeLevels, MatchesLevelOf) {
   const StateSpace space({3, 2, 2}, kBig);
   for (unsigned threads : {1u, 3u}) {
-    ThreadPoolExecutor executor(threads);
+    WorkStealingExecutor executor(threads);
     const std::vector<std::int32_t> levels = compute_levels(space, executor);
     ASSERT_EQ(levels.size(), space.size());
     for (std::size_t i = 0; i < space.size(); ++i) {
@@ -224,7 +201,7 @@ TEST(DpKernels, ParallelVariantsSupportPerEntryEnumeration) {
   for (const ParallelDpVariant variant :
        {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed,
         ParallelDpVariant::kSpmd}) {
-    ThreadPoolExecutor executor(2);
+    WorkStealingExecutor executor(2);
     ParallelDpOptions options;
     options.variant = variant;
     options.executor = &executor;
@@ -243,7 +220,7 @@ TEST(DpKernels, ParallelVariantsSupportPerEntryEnumeration) {
 TEST(DpStats, ConfigScansAreConsistentAcrossVariants) {
   DpFixture f({9, 13, 17}, {3, 2, 2}, 40);
   const DpRun bottom = dp_bottom_up(f.rounded, f.space, f.configs);
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   ParallelDpOptions options;
   options.variant = ParallelDpVariant::kBucketed;
   options.executor = &executor;

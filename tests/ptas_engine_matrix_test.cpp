@@ -19,7 +19,7 @@ class PtasEngineMatrix : public ::testing::TestWithParam<MatrixParam> {};
 TEST_P(PtasEngineMatrix, MatchesTheReferenceMakespan) {
   const auto [engine, kernel, epsilon, speculation] = GetParam();
 
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   for (const InstanceFamily family :
        {InstanceFamily::kUniform1To100, InstanceFamily::kUniformMTo2M1}) {
     const Instance instance = generate_instance(family, 4, 18, 2027, 0);

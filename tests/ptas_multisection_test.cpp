@@ -120,7 +120,7 @@ TEST(SpeculativePtas, UsuallyMatchesTheBisectionMakespan) {
 TEST(SpeculativePtas, ComposesWithParallelDpEngines) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 4, 16, 37, 0);
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   PtasOptions options;
   options.speculation = 3;
   options.engine = DpEngine::kParallelBucketed;

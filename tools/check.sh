@@ -77,8 +77,8 @@ run_simd() {
 
 run_tsan() {
   echo "== ThreadSanitizer tree: ctest -L sanitize =="
-  # PCMAX_SANITIZE=thread force-disables the OpenMP backend (libgomp is not
-  # TSan-instrumented), so this also covers the OpenMP-disabled configuration.
+  # Every thread the library starts (work-stealing pool, SPMD DP, service
+  # shards) runs our own code, so the TSan tree builds and checks all of it.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPCMAX_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"

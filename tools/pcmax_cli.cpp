@@ -146,12 +146,9 @@ int cmd_solve(int argc, const char* const* argv) {
   cli.add_string("solver", "parallel-ptas", registered_solvers_help());
   cli.add_double("epsilon", 0.3, "PTAS accuracy");
   cli.add_int("threads", 0, "worker threads (0 = hardware concurrency)");
-  cli.add_string("pool", "workstealing",
-                 "executor backend for the parallel engines: 'workstealing' "
-                 "(Chase-Lev deques) or 'threadpool' (fork-join baseline)");
   cli.add_string("dp-sync", "barrier",
                  "parallel-DP level synchronisation: 'barrier' or 'counters' "
-                 "(barrier-free chunk graph; needs --pool=workstealing)");
+                 "(barrier-free chunk graph)");
   cli.add_string("dp-kernel", "auto",
                  "PTAS DP fits-test kernel: 'auto' (fastest supported), "
                  "'per-entry-enum', 'swar', or 'avx2' (identical results "
@@ -185,12 +182,11 @@ int cmd_solve(int argc, const char* const* argv) {
   }
   const unsigned threads =
       cli.get_int("threads") > 0 ? static_cast<unsigned>(cli.get_int("threads"))
-                                 : ThreadPool::hardware_threads();
-  const std::unique_ptr<Executor> executor =
-      make_executor(cli.get_string("pool"), threads);
+                                 : WorkStealingPool::hardware_threads();
+  WorkStealingExecutor executor(threads);
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
   const SolverBuild build =
-      build_from_cli(cli.get_double("epsilon"), threads, executor.get(),
+      build_from_cli(cli.get_double("epsilon"), threads, &executor,
                      cli.get_double("exact-seconds"), time_limit_ms,
                      cli.get_string("dp-sync"), cli.get_string("dp-kernel"));
   const std::unique_ptr<Solver> solver =
@@ -258,9 +254,6 @@ int cmd_race(int argc, const char* const* argv) {
                      registered_solvers_help());
   cli.add_double("epsilon", 0.3, "PTAS accuracy");
   cli.add_int("threads", 0, "executor threads (0 = hardware concurrency)");
-  cli.add_string("pool", "workstealing",
-                 "executor backend shared by the racers: 'workstealing' or "
-                 "'threadpool'");
   cli.add_string("dp-sync", "barrier",
                  "parallel-DP level synchronisation of the parallel-ptas "
                  "racer: 'barrier' or 'counters'");
@@ -292,14 +285,13 @@ int cmd_race(int argc, const char* const* argv) {
 
   const unsigned threads =
       cli.get_int("threads") > 0 ? static_cast<unsigned>(cli.get_int("threads"))
-                                 : ThreadPool::hardware_threads();
-  const std::unique_ptr<Executor> executor =
-      make_executor(cli.get_string("pool"), threads);
+                                 : WorkStealingPool::hardware_threads();
+  WorkStealingExecutor executor(threads);
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
 
   PortfolioOptions options;
   options.build = build_from_cli(cli.get_double("epsilon"), threads,
-                                 executor.get(), cli.get_double("exact-seconds"),
+                                 &executor, cli.get_double("exact-seconds"),
                                  time_limit_ms, cli.get_string("dp-sync"),
                                  cli.get_string("dp-kernel"));
   options.max_concurrent = static_cast<unsigned>(cli.get_int("concurrent"));
