@@ -3,8 +3,9 @@
 // Questions this answers (DESIGN.md experiment index):
 //  * how much work does the paper-faithful O(sigma)-scan-per-level variant
 //    waste versus walking each level's entries directly?
-//  * what do fork-join-per-level (executor) vs persistent-threads+barrier
-//    (SPMD) cost in wall time at various thread counts?
+//  * what do fork-join-per-level (scan), the chunk-dependency graph
+//    (bucketed) and persistent-threads+barrier (SPMD) cost in wall time at
+//    various thread counts?
 //  * what does the AVX2 fits-test kernel buy over SWAR on identical
 //    single-threaded bottom-up runs?
 //
@@ -41,7 +42,6 @@ struct VariantSpec {
   DpEngine engine;
   unsigned threads;
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  unsigned speculation = 1;
 };
 
 struct VariantStats {
@@ -79,7 +79,6 @@ VariantStats run_variant(const VariantSpec& variant, InstanceFamily family,
     options.engine = variant.engine;
     options.spmd_threads = variant.threads;
     options.kernel = variant.kernel;
-    options.speculation = variant.speculation;
     std::unique_ptr<Executor> executor;
     if (variant.engine == DpEngine::kParallelScan ||
         variant.engine == DpEngine::kParallelBucketed) {
@@ -153,9 +152,6 @@ int main(int argc, char** argv) {
       {"scan/level x4", DpEngine::kParallelScan, 4},
       {"bucketed x4", DpEngine::kParallelBucketed, 4},
       {"spmd x4", DpEngine::kSpmd, 4},
-      // Search-strategy extension: speculative multisection over targets.
-      {"bottom-up, 4-way specul.", DpEngine::kBottomUp, 1,
-       DpKernel::kGlobalConfigs, 4},
   };
 
   std::cout << "=== DP-variant ablation: m=" << m << ", n=" << n

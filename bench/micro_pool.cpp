@@ -5,28 +5,21 @@
 //    cost in a dependency-driven episode, per pool size?
 //  * steal throughput — how fast do thieves drain an unbalanced graph where
 //    every task beyond the roots must cross a deque?
-//  * barrier-vs-counters handoff — on real PTAS bisection probes, what does
-//    replacing the per-level fork-join barrier of the bucketed DP sweep
-//    with chunk dependency counters (DpSyncMode::kCounters) buy? The
-//    m=10/n=30 families are where it matters: their state spaces have long
-//    tails of small levels whose per-level barrier cost dwarfs the work.
+//  * level handoff — what does one fork-join range episode cost, the price
+//    a per-level barrier sweep pays once per anti-diagonal?
 //
-// `--json <path>` dumps a pcmax.micro_pool.v1 document; BENCH_executor.json
-// in the repo root is a tracked snapshot (min-of-trials timings, so the
-// numbers are the machine's capability, not scheduler noise).
+// `--json <path>` dumps a pcmax.micro_pool.v2 document (min-of-trials
+// timings, so the numbers are the machine's capability, not scheduler
+// noise). BENCH_executor.json in the repo root is the tracked v1 snapshot,
+// which also recorded the barrier-vs-counters comparison of the bucketed DP
+// sweep that settled on the chunk-dependency sweep.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <vector>
 
-#include "algo/ptas/ptas.hpp"
-#include "core/instance_gen.hpp"
-#include "parallel/executor.hpp"
 #include "parallel/work_stealing.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
-#include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table_printer.hpp"
 
@@ -63,7 +56,7 @@ double tree_throughput_tasks_per_second(WorkStealingPool& pool,
 }
 
 /// Barrier-equivalent handoff: one range episode per "level", mirroring the
-/// per-level fork-join of the barrier DP sweep on an empty body.
+/// per-level fork-join of the scan-per-level DP sweep on an empty body.
 double level_handoff_seconds(WorkStealingPool& pool, int levels,
                              std::size_t width) {
   const Stopwatch sw;
@@ -73,84 +66,27 @@ double level_handoff_seconds(WorkStealingPool& pool, int levels,
   return sw.elapsed_seconds() / levels;
 }
 
-struct HandoffResult {
-  double barrier_seconds = 0.0;
-  double counters_seconds = 0.0;
-  double makespan_check = 0.0;  // equal across modes or the run is invalid
-};
-
-/// Times the full PTAS (bucketed engine, walker iteration) on one family
-/// under both sync modes, min over trials per mode.
-HandoffResult measure_handoff(InstanceFamily family, int m, int n, int trials,
-                              std::uint64_t seed, double epsilon,
-                              unsigned threads) {
-  HandoffResult result;
-  WorkStealingExecutor executor(threads);
-  for (const DpSyncMode mode : {DpSyncMode::kBarrier, DpSyncMode::kCounters}) {
-    RunningStats makespans;
-    double best = 0.0;
-    for (int trial = 0; trial < trials; ++trial) {
-      const Instance instance = generate_instance(
-          family, m, n, seed, static_cast<std::uint64_t>(trial));
-      PtasOptions options;
-      options.epsilon = epsilon;
-      options.engine = DpEngine::kParallelBucketed;
-      options.executor = &executor;
-      options.sync_mode = mode;
-      PtasSolver solver(options);
-      const SolverResult solved = solver.solve(instance);
-      makespans.add(static_cast<double>(solved.makespan));
-      if (trial == 0 || solved.seconds < best) best = solved.seconds;
-    }
-    if (mode == DpSyncMode::kBarrier) {
-      result.barrier_seconds = best;
-      result.makespan_check = makespans.mean();
-    } else {
-      result.counters_seconds = best;
-      if (makespans.mean() != result.makespan_check) {
-        std::cerr << "FATAL: sync modes disagree on makespans for "
-                  << family_name(family) << "\n";
-        std::exit(1);
-      }
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("Microbenchmarks of the work-stealing pool and the"
-                " barrier-vs-counters DP sync modes.");
-  cli.add_int("threads", 8, "pool size for the handoff comparison");
-  cli.add_int("m", 10, "machines of the handoff families");
-  cli.add_int("n", 30, "jobs of the handoff families");
-  cli.add_int("trials", 5, "instances per family and sync mode");
+  CliParser cli("Microbenchmarks of the work-stealing pool.");
+  cli.add_int("threads", 8, "largest pool size measured (after 1 and 2)");
+  cli.add_int("trials", 5, "trials per benchmark and pool size");
   cli.add_int("tasks", 1 << 14, "tasks per spawn/steal microbench episode");
-  cli.add_int("seed", 42, "base RNG seed");
-  cli.add_double("epsilon", 0.3, "PTAS accuracy of the handoff runs");
   cli.add_string("json", "", "write results as JSON to this path");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto threads = static_cast<unsigned>(cli.get_int("threads"));
-  const int m = static_cast<int>(cli.get_int("m"));
-  const int n = static_cast<int>(cli.get_int("n"));
   const int trials = static_cast<int>(cli.get_int("trials"));
   const auto tasks = static_cast<std::uint32_t>(cli.get_int("tasks"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const double epsilon = cli.get_double("epsilon");
   const std::string json_path = cli.get_string("json");
 
   JsonValue doc = JsonValue::make_object();
-  doc["schema"] = "pcmax.micro_pool.v1";
+  doc["schema"] = "pcmax.micro_pool.v2";
   JsonValue params = JsonValue::make_object();
   params["threads"] = threads;
-  params["m"] = m;
-  params["n"] = n;
   params["trials"] = trials;
   params["tasks"] = static_cast<std::uint64_t>(tasks);
-  params["seed"] = seed;
-  params["epsilon"] = epsilon;
   doc["params"] = params;
 
   // --- pool microbenches (min over trials) ---------------------------------
@@ -186,38 +122,6 @@ int main(int argc, char** argv) {
             << " trials)\n";
   pool_table.print(std::cout);
   doc["pool"] = pool_rows;
-
-  // --- barrier vs counters on PTAS probes ----------------------------------
-  const std::vector<InstanceFamily> families = {
-      InstanceFamily::kUniform1To2M1,   // small sigma: long small-level tail
-      InstanceFamily::kUniformMTo2M1,   // LPT-adversarial shape
-      InstanceFamily::kUniform1To100,   // larger sigma, wider levels
-  };
-  TablePrinter handoff_table(
-      {"family", "barrier s", "counters s", "speedup"});
-  JsonValue handoff_rows = JsonValue::make_array();
-  for (const InstanceFamily family : families) {
-    const HandoffResult r =
-        measure_handoff(family, m, n, trials, seed, epsilon, threads);
-    const double speedup =
-        r.counters_seconds > 0.0 ? r.barrier_seconds / r.counters_seconds : 0.0;
-    handoff_table.add_row({family_name(family), std::to_string(r.barrier_seconds),
-                           std::to_string(r.counters_seconds),
-                           std::to_string(speedup)});
-    JsonValue row = JsonValue::make_object();
-    row["family"] = family_name(family);
-    row["m"] = m;
-    row["n"] = n;
-    row["barrier_seconds"] = r.barrier_seconds;
-    row["counters_seconds"] = r.counters_seconds;
-    row["speedup"] = speedup;
-    handoff_rows.append(std::move(row));
-  }
-  std::cout << "\nbucketed DP sweep, " << threads
-            << " threads: barrier vs dependency-counter sync (min of " << trials
-            << " trials)\n";
-  handoff_table.print(std::cout);
-  doc["handoff"] = handoff_rows;
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

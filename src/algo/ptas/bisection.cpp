@@ -27,8 +27,7 @@ Time clamp_upper_bound_to_incumbent(const DpLimits& limits, Time lb, Time ub,
 
 DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
                      const DpBackendFn& dp, const DpLimits& limits) {
-  // One "probe" span covers rounding + config enumeration + the DP itself;
-  // multisection issues these concurrently from its probe threads.
+  // One "probe" span covers rounding + config enumeration + the DP itself.
   const std::uint64_t probe_t0 = obs::monotonic_ns();
   const obs::ScopedTimer probe_timer(obs::Timer::kBisectionProbe);
   if (obs::Metrics* metrics = obs::current()) {

@@ -1,5 +1,5 @@
 // Chunked dependency DAG over the anti-diagonal levels of a StateSpace,
-// used by the barrier-free (DpSyncMode::kCounters) parallel DP sweep.
+// used by the bucketed (barrier-free) parallel DP sweep.
 //
 // Each level l is cut into contiguous rank chunks of a uniform `target`
 // size (the last chunk of a level may be shorter). Instead of a global
@@ -51,8 +51,9 @@ struct DpChunkGraph {
 
   /// Sum of dep_chunks over all chunks. Exactly chunks.size()-1 of the
   /// runtime counter decrements reach zero (one per non-root chunk), so a
-  /// counter-mode sweep observes total_dependencies() - (chunks.size()-1)
-  /// non-final decrements (the dp.chunk_waits metric) — deterministically.
+  /// bucketed sweep on the pool observes
+  /// total_dependencies() - (chunks.size()-1) non-final decrements (the
+  /// dp.chunk_waits metric) — deterministically.
   [[nodiscard]] std::uint64_t total_dependencies() const;
 };
 

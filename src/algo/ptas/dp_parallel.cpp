@@ -26,14 +26,6 @@ std::string parallel_dp_variant_name(ParallelDpVariant variant) {
   throw InvalidArgumentError("unknown parallel DP variant");
 }
 
-std::string dp_sync_mode_name(DpSyncMode mode) {
-  switch (mode) {
-    case DpSyncMode::kBarrier: return "barrier";
-    case DpSyncMode::kCounters: return "counters";
-  }
-  throw InvalidArgumentError("unknown DP sync mode");
-}
-
 namespace {
 
 // Loop granularities of the parallel sweeps. Audited with the chunk-sweep
@@ -45,11 +37,10 @@ namespace {
 // imbalance on the narrow anti-diagonals (paper-scale widths average ~120
 // entries).
 //
-//  * kStaticChunk — compute_levels and the bucketed sweep run under
-//    LoopSchedule::kStatic, where the executor ignores the chunk argument
-//    and claims auto-sized slices (see LoopSchedule). The constant exists
-//    so the call sites document that explicitly instead of passing a
-//    magic 1.
+//  * kStaticChunk — compute_levels runs under LoopSchedule::kStatic, where
+//    the executor ignores the chunk argument and claims auto-sized slices
+//    (see LoopSchedule). The constant exists so the call site documents
+//    that explicitly instead of passing a magic 1.
 //  * kScanChunk — in the scan-per-level sweep most indices of a claimed
 //    chunk fail the `levels[i] == level` filter, so a dynamic claim must
 //    cover enough raw indices that the claim's atomic update is amortised
@@ -58,7 +49,7 @@ namespace {
 constexpr std::size_t kStaticChunk = 1;
 constexpr std::size_t kScanChunk = 64;
 
-// Chunk-size clamp of the kCounters graph sweep. The nominal target splits
+// Chunk-size clamp of the bucketed graph sweep. The nominal target splits
 // the *widest* anti-diagonal into ~4 chunks per worker (steal slack without
 // excessive graph size); the floor keeps one-entry tail levels from turning
 // into per-entry tasks whose spawn cost dwarfs a ~24 ns kernel entry, and
@@ -110,7 +101,7 @@ namespace {
 struct alignas(64) WorkerCounters {
   std::uint64_t entries = 0;
   DpScanCounters scan;      ///< scans/pruned/simd_blocks/scalar_fallbacks
-  std::uint64_t waits = 0;  ///< kCounters only: non-final dependency decrements
+  std::uint64_t waits = 0;  ///< pool sweep only: non-final dependency decrements
 };
 
 /// Folds the per-worker counters into the run stats and, when a metrics
@@ -223,48 +214,6 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
   publish_run(recorder, counters, run);
 }
 
-void run_bucketed(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, DpKernel kernel, Executor& executor,
-                  const CancellationToken& cancel, DpRun& run) {
-  const unsigned workers = executor.concurrency();
-  std::vector<WorkerCounters> counters(workers);
-  obs::DpRunRecorder recorder("bucketed", "block", space.size(),
-                              space.max_level() + 1);
-  const bool armed = cancel.valid();
-
-  // Workers seek straight to their rank slice of each anti-diagonal and
-  // walk it with the composition odometer. The walk is only O(1)-per-entry
-  // over a *contiguous* rank range, so this sweep always uses the static
-  // block decomposition (one seek per worker per level) — entries of one
-  // level are uniform-cost, so there is nothing for dynamic/round-robin
-  // balancing to win. This mirrors the SPMD split; the recorder reports
-  // "block".
-  LevelWalker proto(space);
-  std::vector<LevelWalker> walkers(workers, proto);
-  for (int level = 0; level <= space.max_level(); ++level) {
-    fault_hit("dp.level");
-    if (armed) cancel.check();
-    const std::uint64_t width = proto.level_size(level);
-    const std::uint64_t level_t0 = recorder.level_begin();
-    executor.parallel_for_ranges(
-        static_cast<std::size_t>(width),
-        [&](std::size_t begin, std::size_t end, unsigned worker) {
-          CancelCheck range_check(cancel, kCancelPollPeriod);
-          LevelWalker& walker = walkers[worker];
-          walker.seek(level, begin);
-          for (std::size_t rank = begin; rank < end; ++rank) {
-            if (armed) range_check.poll();
-            process_entry(walker.index(), walker.digits(), level, rounded,
-                          space, configs, kernel, run.table, counters[worker]);
-            if (rank + 1 < end) walker.next();
-          }
-        },
-        LoopSchedule::kStatic, kStaticChunk, cancel);
-    recorder.level_end(level, width, level_t0);
-  }
-  publish_run(recorder, counters, run);
-}
-
 void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
               const ConfigSet& configs, DpKernel kernel, unsigned num_threads,
               const CancellationToken& cancel, DpRun& run) {
@@ -369,11 +318,21 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
   publish_run(recorder, counters, run);
 }
 
-void run_counters(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, DpKernel kernel,
-                  WorkStealingPool& pool, const CancellationToken& cancel,
-                  DpRun& run, const char* variant) {
-  const unsigned workers = pool.size();
+/// The bucketed sweep over the chunk graph (dp_chunk_graph.hpp). On a
+/// work-stealing pool a chunk is spawned by the decrement that drains its
+/// dependency counter. On any other executor, or when called from inside a
+/// pool worker (where no nested episode can start), the chunks run in
+/// ascending id order on the calling thread: ids are level-major with ranks
+/// ascending, so every predecessor of a chunk has run before it.
+void run_chunk_sweep(const RoundedInstance& rounded, const StateSpace& space,
+                     const ConfigSet& configs, DpKernel kernel,
+                     Executor& executor, const CancellationToken& cancel,
+                     DpRun& run) {
+  auto* ws = dynamic_cast<WorkStealingExecutor*>(&executor);
+  WorkStealingPool* pool = ws != nullptr && !WorkStealingPool::on_worker_thread()
+                               ? &ws->pool()
+                               : nullptr;
+  const unsigned workers = pool != nullptr ? pool->size() : 1;
   std::vector<WorkerCounters> counters(workers);
 
   LevelWalker proto(space);
@@ -386,25 +345,13 @@ void run_counters(const RoundedInstance& rounded, const StateSpace& space,
                  kCounterChunkMin, kCounterChunkMax);
   const DpChunkGraph graph = build_chunk_graph(space, target);
 
-  obs::DpRunRecorder recorder(variant, "graph", space.size(),
+  obs::DpRunRecorder recorder("bucketed", "graph", space.size(),
                               space.max_level() + 1);
-
-  std::vector<std::atomic<std::uint32_t>> deps(graph.chunks.size());
-  std::vector<std::uint32_t> roots;
-  for (std::size_t j = 0; j < graph.chunks.size(); ++j) {
-    deps[j].store(graph.chunks[j].dep_chunks, std::memory_order_relaxed);
-    if (graph.chunks[j].dep_chunks == 0) {
-      roots.push_back(static_cast<std::uint32_t>(j));
-    }
-  }
-
   const bool armed = cancel.valid();
   std::vector<LevelWalker> walkers(workers, proto);
 
-  auto body = [&](std::uint32_t id, WorkStealingPool::TaskContext& ctx) {
+  auto run_chunk = [&](std::uint32_t id, unsigned worker) -> const DpChunk& {
     const DpChunk& chunk = graph.chunks[id];
-    const unsigned worker = ctx.worker();
-    WorkerCounters& wc = counters[worker];
     fault_hit("dp.chunk");
     CancelCheck range_check(cancel, kCancelPollPeriod);
     LevelWalker& walker = walkers[worker];
@@ -412,22 +359,43 @@ void run_counters(const RoundedInstance& rounded, const StateSpace& space,
     for (std::uint64_t rank = chunk.rank_begin; rank < chunk.rank_end; ++rank) {
       if (armed) range_check.poll();
       process_entry(walker.index(), walker.digits(), chunk.level, rounded,
-                    space, configs, kernel, run.table, wc);
+                    space, configs, kernel, run.table, counters[worker]);
       if (rank + 1 < chunk.rank_end) walker.next();
     }
-    // Publication chain of the table writes above: the acq_rel decrement
-    // makes them visible to whichever worker performs the final decrement,
-    // and the spawn hands them on through the deque slot's release/acquire
-    // edge, so a dependant chunk always reads completed predecessors.
-    for (std::uint32_t succ = chunk.succ_begin; succ < chunk.succ_end; ++succ) {
-      if (deps[succ].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        ctx.spawn(succ);
-      } else {
-        ++wc.waits;
+    return chunk;
+  };
+
+  if (pool == nullptr) {
+    for (std::uint32_t id = 0; id < graph.chunks.size(); ++id) {
+      if (armed) cancel.check();
+      run_chunk(id, 0);
+    }
+  } else {
+    std::vector<std::atomic<std::uint32_t>> deps(graph.chunks.size());
+    std::vector<std::uint32_t> roots;
+    for (std::size_t j = 0; j < graph.chunks.size(); ++j) {
+      deps[j].store(graph.chunks[j].dep_chunks, std::memory_order_relaxed);
+      if (graph.chunks[j].dep_chunks == 0) {
+        roots.push_back(static_cast<std::uint32_t>(j));
       }
     }
-  };
-  pool.run_tasks(roots, graph.chunks.size(), body, cancel);
+    auto body = [&](std::uint32_t id, WorkStealingPool::TaskContext& ctx) {
+      const DpChunk& chunk = run_chunk(id, ctx.worker());
+      // Publication chain of the table writes above: the acq_rel decrement
+      // makes them visible to whichever worker performs the final
+      // decrement, and the spawn hands them on through the deque slot's
+      // release/acquire edge, so a dependant chunk always reads completed
+      // predecessors.
+      for (std::uint32_t succ = chunk.succ_begin; succ < chunk.succ_end; ++succ) {
+        if (deps[succ].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          ctx.spawn(succ);
+        } else {
+          ++counters[ctx.worker()].waits;
+        }
+      }
+    };
+    pool->run_tasks(roots, graph.chunks.size(), body, cancel);
+  }
 
   publish_run(recorder, counters, run);
   if (obs::Metrics* metrics = obs::current()) {
@@ -456,36 +424,18 @@ DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
     case ParallelDpVariant::kScanPerLevel:
       PCMAX_REQUIRE(options.executor != nullptr,
                     "scan-per-level variant needs an executor");
-      PCMAX_REQUIRE(options.sync_mode == DpSyncMode::kBarrier,
-                    "scan-per-level supports only barrier sync");
       run_scan_per_level(rounded, space, configs, kernel, *options.executor,
                          options.schedule, options.cancel, run);
       break;
     case ParallelDpVariant::kBucketed:
       PCMAX_REQUIRE(options.executor != nullptr, "bucketed variant needs an executor");
-      if (options.sync_mode == DpSyncMode::kCounters) {
-        auto* ws = dynamic_cast<WorkStealingExecutor*>(options.executor);
-        PCMAX_REQUIRE(ws != nullptr,
-                      "counters sync needs the work-stealing executor");
-        run_counters(rounded, space, configs, kernel, ws->pool(),
-                     options.cancel, run, "bucketed-counters");
-      } else {
-        run_bucketed(rounded, space, configs, kernel, *options.executor,
-                     options.cancel, run);
-      }
+      run_chunk_sweep(rounded, space, configs, kernel, *options.executor,
+                      options.cancel, run);
       break;
     case ParallelDpVariant::kSpmd:
       PCMAX_REQUIRE(options.spmd_threads >= 1, "spmd needs at least one thread");
-      if (options.sync_mode == DpSyncMode::kCounters) {
-        // SPMD owns its threads; the counters realisation keeps that shape
-        // with a run-scoped pool of the same width.
-        WorkStealingPool pool(options.spmd_threads);
-        run_counters(rounded, space, configs, kernel, pool, options.cancel,
-                     run, "spmd-counters");
-      } else {
-        run_spmd(rounded, space, configs, kernel, options.spmd_threads,
-                 options.cancel, run);
-      }
+      run_spmd(rounded, space, configs, kernel, options.spmd_threads,
+               options.cancel, run);
       break;
   }
 

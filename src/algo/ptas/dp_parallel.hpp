@@ -1,17 +1,21 @@
 // Parallel DP — the paper's core contribution (Algorithm 3).
 //
 // Entries on the same anti-diagonal (equal digit sum d(v)) are mutually
-// independent, so the table is swept level-by-level: level l is processed by
-// P workers in parallel, and a synchronisation point separates consecutive
-// levels. Three realisations are provided:
+// independent, so the table can be swept level by level. Three realisations
+// are provided, each with exactly one synchronisation:
 //
 //  * kScanPerLevel — paper-faithful: first compute the level array D in
 //    parallel (Alg. 3 Lines 4-8), then for every level scan all sigma
-//    entries and process those with d_i == l (Lines 10-25). The scan costs
-//    O(sigma) per level on top of the useful work.
-//  * kBucketed — each level's parallel loop touches only that level's
-//    entries. Same results, no per-level scan (ablation:
-//    bench/ablation_dp_variants quantifies the difference).
+//    entries and process those with d_i == l (Lines 10-25), one executor
+//    fork/join per level. The scan costs O(sigma) per level on top of the
+//    useful work.
+//  * kBucketed — no per-level barrier: every level is cut into rank chunks
+//    and a chunk becomes runnable the moment its per-chunk dependency
+//    counter (derived from the lexicographic predecessor hull, see
+//    dp_chunk_graph.hpp) drains, so narrow levels pipeline instead of
+//    serialising the whole pool. Runs on the work-stealing pool; on any
+//    other executor, or when called from inside a pool worker, the chunks
+//    run in ascending id order on the calling thread.
 //  * kSpmd — persistent threads with a barrier between levels, eliminating
 //    the per-level fork/join of the executor.
 //
@@ -39,37 +43,18 @@ enum class ParallelDpVariant {
 /// Human-readable variant name for reports.
 std::string parallel_dp_variant_name(ParallelDpVariant variant);
 
-/// Inter-level synchronisation of kBucketed/kSpmd.
-enum class DpSyncMode {
-  /// Full synchronisation between consecutive anti-diagonals: an executor
-  /// fork/join per level (kBucketed) or an SPMD barrier (kSpmd). Every
-  /// worker pays the sync cost max_level times even on one-entry levels.
-  kBarrier,
-  /// Barrier-free: levels are cut into rank chunks and a chunk becomes
-  /// runnable the moment its per-chunk dependency counter (derived from
-  /// the lexicographic predecessor hull, see dp_chunk_graph.hpp) drains,
-  /// so narrow levels pipeline instead of serialising the whole pool.
-  /// Runs on the work-stealing pool: kBucketed requires the executor to
-  /// be a WorkStealingExecutor; kSpmd spins up an ephemeral pool of
-  /// spmd_threads. Not applicable to kScanPerLevel (whose per-level
-  /// full-table scan is inherently level-synchronised).
-  kCounters,
-};
-
-/// Human-readable sync-mode name for reports.
-std::string dp_sync_mode_name(DpSyncMode mode);
-
 /// Options of one parallel DP run.
 struct ParallelDpOptions {
-  /// Executor running the parallel loops (kScanPerLevel/kBucketed); must
-  /// stay alive for the duration of the call. Ignored by kSpmd.
+  /// Executor running the parallel loops (kScanPerLevel) or the chunk graph
+  /// (kBucketed, on a WorkStealingExecutor's pool); must stay alive for the
+  /// duration of the call. Ignored by kSpmd.
   Executor* executor = nullptr;
   ParallelDpVariant variant = ParallelDpVariant::kBucketed;
   /// Claim granularity inside a level of kScanPerLevel on the work-stealing
   /// executor: kStatic = auto chunk (~8 claims per worker), kRoundRobin =
   /// single-iteration claims (the default, after the paper's round-robin
-  /// construct), kDynamic = claims of the sweep's fixed chunk. kBucketed
-  /// always runs its levels under kStatic.
+  /// construct), kDynamic = claims of the sweep's fixed chunk. Ignored by
+  /// kBucketed and kSpmd.
   LoopSchedule schedule = LoopSchedule::kRoundRobin;
   /// Thread count for the kSpmd variant.
   unsigned spmd_threads = 1;
@@ -78,15 +63,11 @@ struct ParallelDpOptions {
   /// the paper-faithful per-entry configuration enumeration (Alg. 3
   /// Line 17). Resolved once per run; recorded in DpStats::kernel.
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  /// Inter-level synchronisation of kBucketed/kSpmd (see DpSyncMode).
-  /// Identical tables either way; kCounters trades the per-level barrier
-  /// for chunk dependency counters on the work-stealing pool.
-  DpSyncMode sync_mode = DpSyncMode::kBarrier;
   /// Values-only tables skip the choice array — sufficient for feasibility
   /// probes that only read OPT(N).
   DpTableMode table_mode = DpTableMode::kValuesAndChoices;
-  /// Cooperative stop signal, polled once per level and (amortised) inside
-  /// every range chunk, so a cancel is honoured within one anti-diagonal.
+  /// Cooperative stop signal, polled once per level or chunk and (amortised)
+  /// inside it, so a cancel is honoured within one anti-diagonal.
   /// The DP is all-or-nothing: a stop throws DeadlineExceededError /
   /// CancelledError; a half-filled table is never returned.
   ///
@@ -102,7 +83,7 @@ struct ParallelDpOptions {
 std::vector<std::int32_t> compute_levels(const StateSpace& space, Executor& executor,
                                          const CancellationToken& cancel = {});
 
-/// Runs the level-synchronised parallel DP. Produces a table identical to
+/// Runs the parallel DP. Produces a table identical to
 /// dp_bottom_up (values and canonical argmin choices are deterministic —
 /// min predecessor value, ties towards the smallest encoded offset —
 /// independent of worker interleaving and iteration order).

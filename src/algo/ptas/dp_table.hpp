@@ -35,8 +35,8 @@ namespace pcmax {
 enum class DpTableMode {
   /// Values and argmin choices — required for reconstruction.
   kValuesAndChoices,
-  /// Values only — sufficient for feasibility probes (bisection and
-  /// multisection only read OPT(N)); no choice array is allocated.
+  /// Values only — sufficient for feasibility probes (the bisection only
+  /// reads OPT(N)); no choice array is allocated.
   kValuesOnly,
 };
 

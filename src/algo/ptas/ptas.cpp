@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "algo/ptas/multisection.hpp"
 #include "algo/ptas/reconstruct.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -72,7 +71,6 @@ DpBackendFn PtasSolver::make_backend(DpTableMode mode,
   dp_options.schedule = options_.schedule;
   dp_options.spmd_threads = options_.spmd_threads;
   dp_options.kernel = options_.kernel;
-  dp_options.sync_mode = options_.sync_mode;
   dp_options.table_mode = mode;
   dp_options.cancel = cancel;
   return [dp_options](const RoundedInstance& rounded, const StateSpace& space,
@@ -107,7 +105,7 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
       make_backend(DpTableMode::kValuesAndChoices, stop);
 
   // The token rides along with the DP budgets, which already reach every
-  // probe site (bisection, multisection, and the reconstruction probe).
+  // probe site (the bisection and the reconstruction probe).
   // The incumbent board, when the context carries one, clamps the search's
   // initial upper bound (read once — see DpLimits::incumbent).
   DpLimits limits = options_.limits;
@@ -115,13 +113,9 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
   if (limits.incumbent == nullptr) limits.incumbent = context.incumbent;
 
   // Search for the target makespan: the paper's bisection (Alg. 1
-  // Lines 5-30), or the speculative multisection extension.
+  // Lines 5-30).
   BisectionResult bisection =
-      options_.speculation <= 1
-          ? bisect_target_makespan(instance, k_, probe_backend, limits)
-          : multisect_target_makespan(instance, k_, probe_backend, limits,
-                                      options_.speculation)
-                .as_bisection();
+      bisect_target_makespan(instance, k_, probe_backend, limits);
 
   // Re-run the DP at the final target and reconstruct (Lines 26, 31-51).
   // The final T* equals the last feasible probe, so this probe is feasible

@@ -22,7 +22,7 @@ namespace pcmax {
 enum class DpEngine {
   kBottomUp,          ///< sequential full-table fill (speedup baseline)
   kParallelScan,      ///< Algorithm 3, paper-faithful scan per level
-  kParallelBucketed,  ///< Algorithm 3 with pre-bucketed levels
+  kParallelBucketed,  ///< Algorithm 3 as a chunk-dependency graph, no barrier
   kSpmd,              ///< Algorithm 3 with persistent threads + barrier
 };
 
@@ -52,19 +52,8 @@ struct PtasOptions {
   /// cost profile behind the paper's speedup figures. Results are identical
   /// for every kernel.
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  /// Inter-level synchronisation of kParallelBucketed/kSpmd: per-level
-  /// barrier (default) or barrier-free chunk dependency counters on the
-  /// work-stealing pool (kCounters; kParallelBucketed then requires
-  /// `executor` to be a WorkStealingExecutor). Identical tables either way.
-  DpSyncMode sync_mode = DpSyncMode::kBarrier;
   /// Resource budgets for each DP probe.
   DpLimits limits;
-  /// Concurrent probes per search round (extension beyond the paper):
-  /// 1 = the paper's sequential bisection; w > 1 = speculative multisection
-  /// probing w targets in parallel, shrinking the search to
-  /// log_{w+1}(UB-LB) rounds. Combine with a sequential DP engine to
-  /// parallelise across probes instead of within them.
-  unsigned speculation = 1;
   /// When true, the per-iteration bisection trace is copied into the result
   /// (used by the simulated-multicore harness).
   bool keep_trace = false;

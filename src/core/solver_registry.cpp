@@ -103,20 +103,12 @@ std::vector<std::string> SolverRegistry::names_supporting(
 
 namespace {
 
-DpSyncMode dp_sync_from(const std::string& name) {
-  if (name == "barrier") return DpSyncMode::kBarrier;
-  if (name == "counters") return DpSyncMode::kCounters;
-  throw InvalidArgumentError("unknown DP sync mode: " + name +
-                             " (expected barrier|counters)");
-}
-
 PtasOptions ptas_options_from(const SolverBuild& build, DpEngine engine) {
   PtasOptions options;
   options.epsilon = build.epsilon;
   options.engine = engine;
   options.executor = build.executor;
   options.spmd_threads = std::max(1u, build.threads);
-  options.sync_mode = dp_sync_from(build.dp_sync);
   options.kernel = dp_kernel_from_name(build.dp_kernel);
   return options;
 }

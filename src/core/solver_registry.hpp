@@ -45,14 +45,6 @@ struct SolverBuild {
   /// Non-owning; must outlive the constructed solver.
   Executor* executor = nullptr;
 
-  /// Inter-level synchronisation of the parallel PTAS DP engines
-  /// ("parallel-ptas", "spmd-ptas"): "barrier" (default) or "counters"
-  /// (barrier-free chunk-dependency sweep on the work-stealing pool;
-  /// "parallel-ptas" then requires `executor` to be a WorkStealingExecutor,
-  /// e.g. make_executor("workstealing", width)). A string rather than the
-  /// DpSyncMode enum so this header stays below the algo layer.
-  std::string dp_sync = "barrier";
-
   /// Per-entry DP kernel of the PTAS solvers: "auto" (default, the fastest
   /// fits-test kernel the host supports), "per-entry-enum", "swar", or
   /// "avx2" (an unsupported avx2 degrades to swar; results are identical

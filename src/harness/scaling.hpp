@@ -48,7 +48,7 @@ struct RunShape {
   [[nodiscard]] double speedup_bound(unsigned processors) const;
 };
 
-/// Analyses every probe in a bisection/multisection trace.
+/// Analyses every probe in a bisection trace.
 RunShape analyze_run_shape(const BisectionResult& trace);
 
 }  // namespace pcmax

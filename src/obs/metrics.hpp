@@ -58,10 +58,10 @@ enum class Counter : unsigned {
   kDpEntries,          ///< DP entries computed by this worker
   kDpConfigScans,      ///< configuration candidates inspected by this worker
   kDpConfigsPruned,    ///< candidates skipped via the level-prefix bound
-  kDpChunkWaits,       ///< counter-mode dependency decrements that kept a chunk waiting
+  kDpChunkWaits,       ///< bucketed-sweep dependency decrements that kept a chunk waiting
   kDpSimdBlocks,       ///< full-width vector blocks processed by AVX kernels
   kDpScalarFallbacks,  ///< entries where a vector kernel degraded to SWAR/scalar
-  kBisectionProbes,    ///< DP probes issued by bisection/multisection
+  kBisectionProbes,    ///< DP probes issued by the bisection
   kLpSolves,           ///< simplex invocations
   kMipNodes,           ///< branch-and-bound nodes expanded
   kResilientSolves,    ///< ResilientSolver::solve calls

@@ -7,8 +7,7 @@
 //    as the P=1 baseline of all speedup experiments.
 //  * WorkStealingExecutor — the library's thread pool (src/parallel/
 //    work_stealing): per-worker atomic range shards with slice stealing,
-//    plus the task-graph substrate the barrier-free DP sweep
-//    (DpSyncMode::kCounters) runs on.
+//    plus the task-graph substrate the bucketed DP sweep runs on.
 #pragma once
 
 #include <cstddef>

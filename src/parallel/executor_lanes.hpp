@@ -11,8 +11,8 @@
 // parallelism is therefore hard-capped at lane_width, and total solver
 // parallelism at lanes * lane_width, no matter how large a request is.
 //
-// Every lane is a WorkStealingExecutor, which also unlocks the barrier-free
-// DP sweep (DpSyncMode::kCounters) for solves running on a lane.
+// Every lane is a WorkStealingExecutor, so the bucketed DP sweep of a solve
+// running on a lane spreads its chunk graph over the lane's pool.
 #pragma once
 
 #include <condition_variable>

@@ -553,6 +553,8 @@ void WorkStealingPool::work_tasks(Episode& episode, unsigned worker,
   }
 }
 
+bool WorkStealingPool::on_worker_thread() { return tl_pool != nullptr; }
+
 void WorkStealingPool::run_tasks(std::span<const std::uint32_t> roots,
                                  std::size_t task_bound, const TaskBody& body,
                                  const CancellationToken& cancel) {

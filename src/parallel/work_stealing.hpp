@@ -11,7 +11,7 @@
 //    a random victim when its own deque, the shared root list, and the
 //    overflow slot are all empty. Tasks spawn successors from their body;
 //    the episode ends when every spawned task has retired. This is the
-//    substrate of the barrier-free DP level sweep (DpSyncMode::kCounters).
+//    substrate of the bucketed DP sweep (ParallelDpVariant::kBucketed).
 //
 // Idle workers park on a condition variable (the portable equivalent of a
 // futex wait) and are unparked by the first spawn that observes a parked
@@ -157,6 +157,10 @@ class WorkStealingPool {
   /// runnable) is detected and reported as InternalError.
   void run_tasks(std::span<const std::uint32_t> roots, std::size_t task_bound,
                  const TaskBody& body, const CancellationToken& cancel = {});
+
+  /// True on a thread that is running an episode body of any pool, where
+  /// the range entry points run inline and run_tasks refuses to nest.
+  static bool on_worker_thread();
 
   /// Hardware concurrency clamped to at least 1.
   static unsigned hardware_threads();

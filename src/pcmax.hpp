@@ -26,7 +26,6 @@
 #include "algo/ldm.hpp"
 #include "algo/local_search.hpp"
 #include "algo/multifit.hpp"
-#include "algo/ptas/multisection.hpp"
 #include "algo/ptas/ptas.hpp"
 
 #include "exact/brute_force.hpp"

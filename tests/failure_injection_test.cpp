@@ -60,18 +60,6 @@ TEST(FailureInjection, BudgetErrorsReportLimitAndDemand) {
   }
 }
 
-TEST(FailureInjection, BudgetTripsInsideSpeculativeProbesToo) {
-  // The exception is raised on a probe thread and must be rethrown on the
-  // caller, with the remaining probe threads joined (no leaks, no hang).
-  const Instance instance =
-      generate_instance(InstanceFamily::kUniform1To100, 6, 40, 1, 0);
-  PtasOptions options;
-  options.speculation = 4;
-  options.limits.max_table_entries = 4;
-  PtasSolver solver(options);
-  EXPECT_THROW((void)solver.solve(instance), ResourceLimitError);
-}
-
 /// An executor that fails a configurable number of calls in.
 class FlakyExecutor final : public Executor {
  public:
@@ -97,7 +85,7 @@ TEST(FailureInjection, ExecutorFailurePropagatesThroughTheParallelDp) {
       generate_instance(InstanceFamily::kUniform1To100, 4, 20, 2, 0);
   FlakyExecutor executor(/*fail_after=*/3);
   PtasOptions options;
-  options.engine = DpEngine::kParallelBucketed;
+  options.engine = DpEngine::kParallelScan;
   options.executor = &executor;
   PtasSolver solver(options);
   EXPECT_THROW((void)solver.solve(instance), std::runtime_error);
@@ -145,7 +133,10 @@ TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
   for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
                           DpEngine::kSpmd}) {
     CancellationToken token = CancellationToken::make();
-    FaultInjector injector("dp.level", /*fire_at=*/2, FaultInjector::Action::kCancel,
+    // The bucketed sweep has no levels to hit; it polls once per chunk.
+    const char* site =
+        engine == DpEngine::kParallelBucketed ? "dp.chunk" : "dp.level";
+    FaultInjector injector(site, /*fire_at=*/2, FaultInjector::Action::kCancel,
                            token);
     FaultScope scope(injector);
     PtasOptions options;
@@ -199,7 +190,7 @@ TEST(FaultInjection, CancelMidDpLeavesThePoolReusable) {
   WorkStealingExecutor executor(2);
   {
     CancellationToken token = CancellationToken::make();
-    FaultInjector injector("dp.level", /*fire_at=*/3,
+    FaultInjector injector("dp.chunk", /*fire_at=*/3,
                            FaultInjector::Action::kCancel, token);
     FaultScope scope(injector);
     PtasOptions options;

@@ -326,7 +326,9 @@ TEST(MetricsJson, ExportRoundTripsAndMatchesSchema) {
     WorkStealingExecutor executor(2);
     ParallelDpOptions options;
     options.executor = &executor;
-    options.variant = ParallelDpVariant::kBucketed;
+    // Scan-per-level records one sample per level; the bucketed graph
+    // sweep records none.
+    options.variant = ParallelDpVariant::kScanPerLevel;
     dp_parallel(f.rounded, f.space, f.configs, options);
   });
   const JsonValue document = obs::metrics_to_json(*metrics);
@@ -348,7 +350,7 @@ TEST(MetricsJson, ExportRoundTripsAndMatchesSchema) {
   const JsonValue& runs = document.at("dp_runs");
   ASSERT_EQ(runs.size(), 1u);
   const JsonValue& run = runs.at(std::size_t{0});
-  EXPECT_EQ(run.at("variant").as_string(), "bucketed");
+  EXPECT_EQ(run.at("variant").as_string(), "scan-per-level");
   EXPECT_EQ(run.at("table_size").as_int(),
             static_cast<std::int64_t>(f.space.size()));
   // Per-level DP timings are present and conserve the entry count.

@@ -20,7 +20,6 @@
 #include "exact/bin_feasibility.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/executor.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace pcmax {
@@ -257,14 +256,13 @@ TEST(DpCrossCheck, PruningAndTableModesAgreeAcrossKernelsAndVariants) {
 }
 
 TEST(DpCrossCheck, SyncModePoolThreadMatrixMatchesSequential) {
-  // The determinism matrix gating the work-stealing pool and the
-  // barrier-free counters sweep:
-  //   {bucketed, spmd} x {barrier, counters} x threads {1, 3, 8}
+  // The determinism matrix gating the work-stealing pool:
+  //   {bucketed (chunk-dependency graph), spmd (barrier)} x threads {1, 3, 8}
   // Every combination must reproduce the sequential bottom-up table byte
   // for byte (values AND argmin choices), compute each entry exactly once,
-  // and conserve scans + pruned against the unpruned scan total.
-  // (bucketed+counters needs the work-stealing executor — a sequential
-  // executor is the rejection asserted after the matrix.)
+  // and conserve scans + pruned against the unpruned scan total. Bucketed
+  // also runs off the pool: on a SequentialExecutor, and nested inside a
+  // pool worker, where its chunks run in id order on the calling thread.
   Xoshiro256StarStar rng(0xB00C5);
   for (int round = 0; round < 3; ++round) {
     const Time target = uniform_int(rng, 25, 60);
@@ -281,56 +279,56 @@ TEST(DpCrossCheck, SyncModePoolThreadMatrixMatchesSequential) {
     const std::uint64_t full_scans = (space.size() - 1) * configs.count();
     const DpRun reference = dp_bottom_up(rounded, space, configs);
 
+    const auto check_cell = [&](ParallelDpOptions options,
+                                const std::string& what) {
+      const DpRun run = dp_parallel(rounded, space, configs, options);
+      expect_identical_tables(reference, run, what);
+      EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
+      EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned, full_scans)
+          << what;
+
+      // Values-only probe mode of the same cell: value equality against
+      // the reference, no choice array.
+      options.table_mode = DpTableMode::kValuesOnly;
+      const DpRun probe = dp_parallel(rounded, space, configs, options);
+      EXPECT_FALSE(probe.table.has_choices()) << what;
+      EXPECT_EQ(probe.machines_needed, reference.machines_needed) << what;
+      for (std::size_t i = 0; i < space.size(); ++i) {
+        ASSERT_EQ(probe.table.value(i), reference.table.value(i))
+            << what << " values-only entry " << i;
+      }
+      EXPECT_EQ(probe.stats.config_scans + probe.stats.configs_pruned,
+                full_scans)
+          << what;
+    };
+
     for (const unsigned threads : {1u, 3u, 8u}) {
       WorkStealingExecutor executor(threads);
       for (const ParallelDpVariant variant :
            {ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd}) {
-        for (const DpSyncMode sync :
-             {DpSyncMode::kBarrier, DpSyncMode::kCounters}) {
-          ParallelDpOptions options;
-          options.executor = &executor;
-          options.variant = variant;
-          options.spmd_threads = threads;
-          options.sync_mode = sync;
-          const std::string what =
-              parallel_dp_variant_name(variant) + "/" +
-              dp_sync_mode_name(sync) + "/t" + std::to_string(threads) +
-              " round " + std::to_string(round);
-          const DpRun run = dp_parallel(rounded, space, configs, options);
-          expect_identical_tables(reference, run, what);
-          EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
-          EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
-                    full_scans)
-              << what;
-
-          // Values-only probe mode of the same cell: value equality
-          // against the reference, no choice array.
-          options.table_mode = DpTableMode::kValuesOnly;
-          const DpRun probe = dp_parallel(rounded, space, configs, options);
-          EXPECT_FALSE(probe.table.has_choices()) << what;
-          EXPECT_EQ(probe.machines_needed, reference.machines_needed) << what;
-          for (std::size_t i = 0; i < space.size(); ++i) {
-            ASSERT_EQ(probe.table.value(i), reference.table.value(i))
-                << what << " values-only entry " << i;
-          }
-          EXPECT_EQ(probe.stats.config_scans + probe.stats.configs_pruned,
-                    full_scans)
-              << what;
-        }
+        ParallelDpOptions options;
+        options.executor = &executor;
+        options.variant = variant;
+        options.spmd_threads = threads;
+        check_cell(options, parallel_dp_variant_name(variant) + "/t" +
+                                std::to_string(threads) + " round " +
+                                std::to_string(round));
       }
     }
 
-    // Inadmissible cells reject loudly instead of silently degrading.
+    ParallelDpOptions bucketed;
+    bucketed.variant = ParallelDpVariant::kBucketed;
     SequentialExecutor sequential;
-    ParallelDpOptions bad;
-    bad.executor = &sequential;
-    bad.variant = ParallelDpVariant::kBucketed;
-    bad.sync_mode = DpSyncMode::kCounters;
-    EXPECT_THROW(dp_parallel(rounded, space, configs, bad),
-                 InvalidArgumentError);
-    bad.variant = ParallelDpVariant::kScanPerLevel;
-    EXPECT_THROW(dp_parallel(rounded, space, configs, bad),
-                 InvalidArgumentError);
+    bucketed.executor = &sequential;
+    check_cell(bucketed, "bucketed/sequential round " + std::to_string(round));
+
+    // Nested: the DP is called from a pool worker's range body, where no
+    // task episode can start.
+    WorkStealingExecutor outer(2);
+    bucketed.executor = &outer;
+    outer.pool().parallel_for_1d(1, [&](std::size_t, std::size_t, unsigned) {
+      check_cell(bucketed, "bucketed/nested round " + std::to_string(round));
+    });
   }
 }
 
@@ -338,9 +336,8 @@ TEST(DpCrossCheck, AllKernelsMatchAcrossEnginesIterationSyncAndTableModes) {
   // The kernel axis of the determinism matrix: every selectable kernel
   // (auto, SWAR, AVX2 — an unsupported AVX2 degrades to SWAR, which is
   // itself part of the contract — and the per-entry enumeration) under
-  // every engine x sync x table mode x thread count must reproduce the
-  // sequential bottom-up reference byte for byte. The work-stealing
-  // executor keeps the bucketed+counters cell admissible.
+  // every engine x table mode x thread count must reproduce the sequential
+  // bottom-up reference byte for byte.
   constexpr DpKernel kKernels[] = {DpKernel::kGlobalConfigs, DpKernel::kSwar,
                                    DpKernel::kAvx2, DpKernel::kPerEntryEnum};
   Xoshiro256StarStar rng(0x51D3);
@@ -367,43 +364,38 @@ TEST(DpCrossCheck, AllKernelsMatchAcrossEnginesIterationSyncAndTableModes) {
                               "bottom-up/" + kname + " round " +
                                   std::to_string(round));
 
-      // Parallel engines: variant x sync x table mode x threads.
+      // Parallel engines: variant x table mode x threads.
       for (const unsigned threads : {1u, 3u, 8u}) {
         WorkStealingExecutor executor(threads);
         for (const ParallelDpVariant variant :
              {ParallelDpVariant::kBucketed, ParallelDpVariant::kSpmd}) {
-          for (const DpSyncMode sync :
-               {DpSyncMode::kBarrier, DpSyncMode::kCounters}) {
-            for (const DpTableMode mode :
-                 {DpTableMode::kValuesAndChoices, DpTableMode::kValuesOnly}) {
-              ParallelDpOptions options;
-              options.executor = &executor;
-              options.variant = variant;
-              options.spmd_threads = threads;
-              options.kernel = kernel;
-              options.sync_mode = sync;
-              options.table_mode = mode;
-              const DpRun run = dp_parallel(rounded, space, configs, options);
-              const std::string what =
-                  parallel_dp_variant_name(variant) + "/" +
-                  dp_sync_mode_name(sync) + "/" + kname + "/t" +
-                  std::to_string(threads) +
-                  (mode == DpTableMode::kValuesOnly ? "/values-only" : "") +
-                  " round " + std::to_string(round);
-              if (mode == DpTableMode::kValuesAndChoices) {
-                expect_identical_tables(reference, run, what);
-              } else {
-                EXPECT_FALSE(run.table.has_choices()) << what;
-                EXPECT_EQ(run.machines_needed, reference.machines_needed)
-                    << what;
-                for (std::size_t i = 0; i < space.size(); ++i) {
-                  ASSERT_EQ(run.table.value(i), reference.table.value(i))
-                      << what << " entry " << i;
-                }
+          for (const DpTableMode mode :
+               {DpTableMode::kValuesAndChoices, DpTableMode::kValuesOnly}) {
+            ParallelDpOptions options;
+            options.executor = &executor;
+            options.variant = variant;
+            options.spmd_threads = threads;
+            options.kernel = kernel;
+            options.table_mode = mode;
+            const DpRun run = dp_parallel(rounded, space, configs, options);
+            const std::string what =
+                parallel_dp_variant_name(variant) + "/" + kname + "/t" +
+                std::to_string(threads) +
+                (mode == DpTableMode::kValuesOnly ? "/values-only" : "") +
+                " round " + std::to_string(round);
+            if (mode == DpTableMode::kValuesAndChoices) {
+              expect_identical_tables(reference, run, what);
+            } else {
+              EXPECT_FALSE(run.table.has_choices()) << what;
+              EXPECT_EQ(run.machines_needed, reference.machines_needed)
+                  << what;
+              for (std::size_t i = 0; i < space.size(); ++i) {
+                ASSERT_EQ(run.table.value(i), reference.table.value(i))
+                    << what << " entry " << i;
               }
-              EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
-              EXPECT_EQ(run.stats.kernel, resolve_dp_kernel(kernel)) << what;
             }
+            EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
+            EXPECT_EQ(run.stats.kernel, resolve_dp_kernel(kernel)) << what;
           }
         }
       }
@@ -425,8 +417,8 @@ TEST(DpCrossCheck, ChunkWaitsTotalIsDeterministic) {
   constexpr unsigned kThreads = 3;
   WorkStealingExecutor executor(kThreads);
 
-  // Mirror run_counters' chunk-target choice (dp_parallel.cpp) to derive the
-  // expected total from the graph itself.
+  // Mirror the bucketed sweep's chunk-target choice (dp_parallel.cpp) to
+  // derive the expected total from the graph itself.
   LevelWalker walker(space);
   std::uint64_t max_width = 1;
   for (int l = 0; l <= space.max_level(); ++l) {
@@ -446,7 +438,6 @@ TEST(DpCrossCheck, ChunkWaitsTotalIsDeterministic) {
     ParallelDpOptions options;
     options.executor = &executor;
     options.variant = ParallelDpVariant::kBucketed;
-    options.sync_mode = DpSyncMode::kCounters;
     dp_parallel(rounded, space, configs, options);
     EXPECT_EQ(metrics.counter_total(obs::Counter::kDpChunkWaits), expected)
         << "run " << run;

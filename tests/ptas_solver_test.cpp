@@ -180,17 +180,37 @@ TEST(PtasSolver, MakespanNeverBelowTStar) {
 }
 
 TEST(PtasSolver, ParallelEngineMatchesSequentialOnEveryFamily) {
+  // The bucketed engine runs its chunk graph on the pool only where a task
+  // episode can start. On a sequential executor, and when called from
+  // inside a pool worker, its chunks run in id order on the calling thread.
+  // Every path returns the sequential PTAS's schedule.
   WorkStealingExecutor executor(2);
+  SequentialExecutor sequential;
   for (const InstanceFamily family : all_families()) {
     const Instance instance = generate_instance(family, 5, 25, 88, 0);
 
-    const SolverResult sequential = PtasSolver(PtasOptions{}).solve(instance);
+    const SolverResult reference = PtasSolver(PtasOptions{}).solve(instance);
+    const std::vector<int> expected = reference.schedule.assignment(instance);
     PtasOptions options;
     options.engine = DpEngine::kParallelBucketed;
+    for (Executor* runner : {static_cast<Executor*>(&executor),
+                             static_cast<Executor*>(&sequential)}) {
+      options.executor = runner;
+      const SolverResult parallel = PtasSolver(options).solve(instance);
+      parallel.schedule.validate(instance);
+      EXPECT_EQ(parallel.makespan, reference.makespan)
+          << runner->name() << " " << family_name(family);
+      EXPECT_EQ(parallel.schedule.assignment(instance), expected)
+          << runner->name() << " " << family_name(family);
+    }
+
     options.executor = &executor;
-    const SolverResult parallel = PtasSolver(options).solve(instance);
-    parallel.schedule.validate(instance);
-    EXPECT_EQ(parallel.makespan, sequential.makespan) << family_name(family);
+    std::vector<int> nested;
+    EXPECT_NO_THROW(executor.pool().parallel_for_1d(
+        1, [&](std::size_t, std::size_t, unsigned) {
+          nested = PtasSolver(options).solve(instance).schedule.assignment(instance);
+        }));
+    EXPECT_EQ(nested, expected) << "nested " << family_name(family);
   }
 }
 

@@ -92,7 +92,7 @@ TEST(ResilientSolver, FaultMidDpDegradesWithCorrectReason) {
   // valid LPT-or-better schedule and degradation_reason == "cancelled".
   const Instance instance = small_instance();
   CancellationToken token = CancellationToken::make();
-  FaultInjector injector("dp.level", /*fire_at=*/2,
+  FaultInjector injector("dp.chunk", /*fire_at=*/2,
                          FaultInjector::Action::kCancel, token);
   FaultScope scope(injector);
   WorkStealingExecutor executor(2);

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Full verification sweep: a Release tree running the whole test suite, a
 # ThreadSanitizer tree running the concurrency-heavy tests (ctest label
-# `sanitize`), and a pair of SIMD configuration trees exercising the DP
-# kernel family at both extremes. Usage:
+# `sanitize`), an UndefinedBehaviorSanitizer tree running the whole suite,
+# and a pair of SIMD configuration trees exercising the DP kernel family at
+# both extremes. Usage:
 #
 #   tools/check.sh            # all trees
 #   tools/check.sh release    # Release tree + full suite only
 #   tools/check.sh tsan       # TSan tree + `ctest -L sanitize` only
+#   tools/check.sh ubsan      # UBSan tree + full suite only
 #   tools/check.sh simd       # forced -mavx2 tree + PCMAX_DISABLE_SIMD tree
 #
 # The Release run repeats the `bench-smoke`, `service`, `service-sharded`,
@@ -25,8 +27,9 @@
 # SolveFuture stress up twice: they carry `sanitize` alongside their own
 # labels.
 #
-# Build trees live in build-check/, build-simd/, build-nosimd/, and
-# build-tsan/ so they never clobber a developer's main build/ directory.
+# Build trees live in build-check/, build-simd/, build-nosimd/, build-tsan/
+# and build-ubsan/ so they never clobber a developer's main build/
+# directory.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,7 +61,7 @@ run_simd() {
   # scan kernel is definitely built, and one with PCMAX_DISABLE_SIMD=ON so
   # the AVX2 kernel is compiled out and `auto` resolves to SWAR. Both
   # run the kernel-sensitive tests — the crosscheck matrix asserts every
-  # kernel x engine x sync x table-mode x thread-count combination is
+  # kernel x engine x table-mode x thread-count combination is
   # byte-identical, so these trees catch miscompiled kernels and broken
   # avx2 -> swar degradation respectively.
   local simd_tests=(ptas_dp_crosscheck_test ptas_kernel_dispatch_test
@@ -91,12 +94,25 @@ run_tsan() {
   ctest --test-dir build-tsan --output-on-failure -L variants
 }
 
+run_ubsan() {
+  echo "== UndefinedBehaviorSanitizer tree: full suite =="
+  # Built with -fno-sanitize-recover, so the first report aborts its test.
+  cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DPCMAX_SANITIZE=undefined
+  cmake --build build-ubsan -j "$jobs"
+  ctest --test-dir build-ubsan --output-on-failure -j "$jobs" -LE bench-smoke
+  # The bench smokes gate wall-clock ratios; run them one at a time, as
+  # the Release arm does, so parallel tests do not skew the timings.
+  ctest --test-dir build-ubsan --output-on-failure -L bench-smoke
+}
+
 case "$mode" in
-  all) run_release; run_simd; run_tsan ;;
+  all) run_release; run_simd; run_tsan; run_ubsan ;;
   release) run_release ;;
   tsan) run_tsan ;;
+  ubsan) run_ubsan ;;
   simd) run_simd ;;
-  *) echo "usage: tools/check.sh [all|release|tsan|simd]" >&2; exit 2 ;;
+  *) echo "usage: tools/check.sh [all|release|tsan|ubsan|simd]" >&2; exit 2 ;;
 esac
 
 echo "check.sh: all requested suites passed"

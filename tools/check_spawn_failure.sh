@@ -7,8 +7,8 @@
 #
 #   tools/check_spawn_failure.sh <pcmax-binary> <instance-file>
 #
-# Registered as the `cli_spawn_failure` ctest in non-sanitizer builds only:
-# `ulimit -v` breaks the ASan/TSan shadow-memory reservation.
+# Registered as the `cli_spawn_failure` ctest, except in ASan/TSan trees:
+# `ulimit -v` breaks their shadow-memory reservation.
 set -euo pipefail
 
 pcmax="$1"

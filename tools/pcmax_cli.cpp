@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
@@ -73,18 +74,31 @@ int cmd_generate(int argc, const char* const* argv) {
   return 0;
 }
 
+/// Reads an integer flag that must lie in [min, max of T] before it is
+/// narrowed to T, so `-1` or `4294967296` fail with an error naming the flag
+/// instead of wrapping to a huge count or to zero.
+template <typename T>
+T checked_count(const CliParser& cli, const std::string& flag, std::int64_t min) {
+  const std::int64_t value = cli.get_int(flag);
+  const std::uint64_t max = std::min<std::uint64_t>(
+      std::numeric_limits<T>::max(), std::numeric_limits<std::int64_t>::max());
+  PCMAX_REQUIRE(value >= min && static_cast<std::uint64_t>(value) <= max,
+                "--" + flag + " must be between " + std::to_string(min) +
+                    " and " + std::to_string(max) + ", got " +
+                    std::to_string(value));
+  return static_cast<T>(value);
+}
+
 /// Shared construction flags -> the registry's SolverBuild. The exact
 /// solvers are anytime: a wall-clock limit caps their budget so they return
 /// the incumbent rather than throwing.
 SolverBuild build_from_cli(double epsilon, unsigned threads, Executor* executor,
                            double exact_seconds, std::int64_t time_limit_ms,
-                           const std::string& dp_sync = "barrier",
                            const std::string& dp_kernel = "auto") {
   SolverBuild build;
   build.epsilon = epsilon;
   build.threads = threads;
   build.executor = executor;
-  build.dp_sync = dp_sync;
   build.dp_kernel = dp_kernel;
   build.exact_seconds =
       time_limit_ms > 0
@@ -146,9 +160,6 @@ int cmd_solve(int argc, const char* const* argv) {
   cli.add_string("solver", "parallel-ptas", registered_solvers_help());
   cli.add_double("epsilon", 0.3, "PTAS accuracy");
   cli.add_int("threads", 0, "worker threads (0 = hardware concurrency)");
-  cli.add_string("dp-sync", "barrier",
-                 "parallel-DP level synchronisation: 'barrier' or 'counters' "
-                 "(barrier-free chunk graph)");
   cli.add_string("dp-kernel", "auto",
                  "PTAS DP fits-test kernel: 'auto' (fastest supported), "
                  "'per-entry-enum', 'swar', or 'avx2' (identical results "
@@ -180,15 +191,15 @@ int cmd_solve(int argc, const char* const* argv) {
         instances.begin() + static_cast<std::ptrdiff_t>(cli.get_int("limit")),
         instances.end());
   }
+  const auto requested = checked_count<unsigned>(cli, "threads", 0);
   const unsigned threads =
-      cli.get_int("threads") > 0 ? static_cast<unsigned>(cli.get_int("threads"))
-                                 : WorkStealingPool::hardware_threads();
+      requested > 0 ? requested : WorkStealingPool::hardware_threads();
   WorkStealingExecutor executor(threads);
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
   const SolverBuild build =
       build_from_cli(cli.get_double("epsilon"), threads, &executor,
                      cli.get_double("exact-seconds"), time_limit_ms,
-                     cli.get_string("dp-sync"), cli.get_string("dp-kernel"));
+                     cli.get_string("dp-kernel"));
   const std::unique_ptr<Solver> solver =
       make_solver(cli.get_string("solver"), build, on_limit == "fallback");
 
@@ -254,9 +265,6 @@ int cmd_race(int argc, const char* const* argv) {
                      registered_solvers_help());
   cli.add_double("epsilon", 0.3, "PTAS accuracy");
   cli.add_int("threads", 0, "executor threads (0 = hardware concurrency)");
-  cli.add_string("dp-sync", "barrier",
-                 "parallel-DP level synchronisation of the parallel-ptas "
-                 "racer: 'barrier' or 'counters'");
   cli.add_string("dp-kernel", "auto",
                  "PTAS DP fits-test kernel shared by the PTAS-family racers: "
                  "'auto', 'per-entry-enum', 'swar', or 'avx2'");
@@ -283,18 +291,17 @@ int cmd_race(int argc, const char* const* argv) {
         instances.end());
   }
 
+  const auto requested = checked_count<unsigned>(cli, "threads", 0);
   const unsigned threads =
-      cli.get_int("threads") > 0 ? static_cast<unsigned>(cli.get_int("threads"))
-                                 : WorkStealingPool::hardware_threads();
+      requested > 0 ? requested : WorkStealingPool::hardware_threads();
   WorkStealingExecutor executor(threads);
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
 
   PortfolioOptions options;
   options.build = build_from_cli(cli.get_double("epsilon"), threads,
                                  &executor, cli.get_double("exact-seconds"),
-                                 time_limit_ms, cli.get_string("dp-sync"),
-                                 cli.get_string("dp-kernel"));
-  options.max_concurrent = static_cast<unsigned>(cli.get_int("concurrent"));
+                                 time_limit_ms, cli.get_string("dp-kernel"));
+  options.max_concurrent = checked_count<unsigned>(cli, "concurrent", 0);
   const std::string racers = cli.get_string("racers");
   for (std::size_t begin = 0; begin < racers.size();) {
     std::size_t end = racers.find(',', begin);
@@ -446,15 +453,13 @@ int cmd_batch(int argc, const char* const* argv) {
   ServiceOptions options;
   options.mode =
       mode == "portfolio" ? ServiceMode::kPortfolio : ServiceMode::kResilient;
-  options.workers = static_cast<unsigned>(cli.get_int("workers"));
-  PCMAX_REQUIRE(cli.get_int("shards") >= 1, "--shards must be at least 1");
-  PCMAX_REQUIRE(cli.get_int("async-window") >= 0,
-                "--async-window must be non-negative");
-  options.shards = static_cast<unsigned>(cli.get_int("shards"));
-  options.lane_width = static_cast<unsigned>(cli.get_int("lane-width"));
-  options.lanes = static_cast<unsigned>(cli.get_int("lanes"));
-  options.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
-  options.cache_capacity = static_cast<std::size_t>(cli.get_int("cache"));
+  options.workers = checked_count<unsigned>(cli, "workers", 1);
+  options.shards = checked_count<unsigned>(cli, "shards", 1);
+  const auto window = checked_count<std::size_t>(cli, "async-window", 0);
+  options.lane_width = checked_count<unsigned>(cli, "lane-width", 1);
+  options.lanes = checked_count<unsigned>(cli, "lanes", 0);
+  options.queue_capacity = checked_count<std::size_t>(cli, "queue", 0);
+  options.cache_capacity = checked_count<std::size_t>(cli, "cache", 0);
   options.epsilon = cli.get_double("epsilon");
   options.default_time_limit_ms = cli.get_int("time-limit-ms");
   const std::string shed_policy = cli.get_string("shed-policy");
@@ -484,8 +489,6 @@ int cmd_batch(int argc, const char* const* argv) {
   double total_seconds = 0.0;
   {
     SolveService service(options);
-    const std::size_t window =
-        static_cast<std::size_t>(cli.get_int("async-window"));
     if (window == 0) {
       responses = service.solve_batch(std::move(requests));
     } else {
