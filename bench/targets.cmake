@@ -106,3 +106,7 @@ set_tests_properties(bench_smoke_ablation bench_smoke_ablation_json
                      bench_smoke_storm_variants
                      bench_smoke_portfolio bench_smoke_micro_pool
                      PROPERTIES LABELS "bench-smoke" TIMEOUT 120)
+# The portfolio smoke gates wall-clock (race within 1.15x + 5 ms of the
+# standalone sum), which other tests running beside it under `ctest -j` can
+# break; run it alone.
+set_tests_properties(bench_smoke_portfolio PROPERTIES RUN_SERIAL TRUE)

@@ -34,7 +34,8 @@ AnnealingSolver::AnnealingSolver(AnnealingOptions options) : options_(options) {
                 "swap probability must lie in [0, 1]");
 }
 
-SolverResult AnnealingSolver::solve(const Instance& instance) {
+SolverResult AnnealingSolver::solve_impl(const Instance& instance,
+                                         const SolveContext& context) {
   Stopwatch sw;
   const int m = instance.machines();
   const int n = instance.jobs();
@@ -57,11 +58,12 @@ SolverResult AnnealingSolver::solve(const Instance& instance) {
   std::uint64_t improved = 0;
 
   Time current_makespan = state.makespan();
-  const bool armed = options_.cancel.valid();
+  const CancellationToken cancel = context.effective_token();
+  const bool armed = cancel.valid();
   for (int it = 0; it < options_.iterations && m > 1; ++it) {
     if (best_makespan == lower_bound) break;  // provably optimal already
     // Anytime: a stop keeps the best schedule seen so far.
-    if (armed && it % 512 == 0 && options_.cancel.should_stop()) break;
+    if (armed && it % 512 == 0 && cancel.should_stop()) break;
 
     // Propose: move one job, or swap two jobs between machines.
     const bool is_swap = uniform_real01(rng) < options_.swap_probability;

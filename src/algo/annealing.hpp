@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "core/solver.hpp"
-#include "util/deadline.hpp"
 
 namespace pcmax {
 
@@ -23,20 +22,21 @@ struct AnnealingOptions {
   double initial_temp = 0.0;     ///< 0 = auto (max job time / 2)
   double cooling = 0.9995;       ///< geometric factor per iteration
   double swap_probability = 0.4; ///< fraction of proposals that are swaps
-  /// Cooperative stop signal, polled every ~512 proposals. Anytime: a stop
-  /// ends the run keeping the best schedule seen (never worse than LPT).
-  CancellationToken cancel;
 };
 
-/// The simulated-annealing solver.
+/// The simulated-annealing solver. Polls the context token every ~512
+/// proposals. Anytime: a stop ends the run keeping the best schedule seen
+/// (never worse than LPT).
 class AnnealingSolver final : public Solver {
  public:
   explicit AnnealingSolver(AnnealingOptions options = {});
 
   [[nodiscard]] std::string name() const override { return "SA"; }
-  SolverResult solve(const Instance& instance) override;
 
  private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
+
   AnnealingOptions options_;
 };
 

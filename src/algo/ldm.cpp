@@ -53,7 +53,8 @@ Tuple merge_tuples(Tuple a, Tuple b) {
 
 }  // namespace
 
-SolverResult LdmSolver::solve(const Instance& instance) {
+SolverResult LdmSolver::solve_impl(const Instance& instance,
+                                   const SolveContext& /*context*/) {
   Stopwatch sw;
   const auto m = static_cast<std::size_t>(instance.machines());
 

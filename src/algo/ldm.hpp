@@ -18,7 +18,10 @@ namespace pcmax {
 class LdmSolver final : public Solver {
  public:
   [[nodiscard]] std::string name() const override { return "LDM"; }
-  SolverResult solve(const Instance& instance) override;
+
+ private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
 };
 
 }  // namespace pcmax

@@ -26,7 +26,8 @@ void list_schedule_onto(const Instance& instance, std::span<const int> order,
   }
 }
 
-SolverResult ListSchedulingSolver::solve(const Instance& instance) {
+SolverResult ListSchedulingSolver::solve_impl(const Instance& instance,
+                                              const SolveContext& /*context*/) {
   Stopwatch sw;
   Schedule schedule(instance.machines());
   std::vector<int> order(static_cast<std::size_t>(instance.jobs()));

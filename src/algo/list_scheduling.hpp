@@ -23,7 +23,10 @@ void list_schedule_onto(const Instance& instance, std::span<const int> order,
 class ListSchedulingSolver final : public Solver {
  public:
   [[nodiscard]] std::string name() const override { return "LS"; }
-  SolverResult solve(const Instance& instance) override;
+
+ private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
 };
 
 }  // namespace pcmax

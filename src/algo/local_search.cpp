@@ -133,10 +133,13 @@ LocalSearchSolver::LocalSearchSolver(Solver& inner) : inner_(inner) {}
 
 std::string LocalSearchSolver::name() const { return inner_.name() + "+LS*"; }
 
-SolverResult LocalSearchSolver::solve(const Instance& instance) {
+SolverResult LocalSearchSolver::solve_impl(const Instance& instance,
+                                           const SolveContext& context) {
   Stopwatch sw;
-  SolverResult result = inner_.solve(instance);
-  const LocalSearchStats stats = improve_schedule(instance, result.schedule);
+  SolverResult result = inner_.solve(instance, context.without_scopes());
+  const LocalSearchStats stats =
+      improve_schedule(instance, result.schedule, kLocalSearchRounds,
+                       context.effective_token());
   const Time improved = result.schedule.makespan(instance);
   PCMAX_CHECK(improved <= result.makespan, "local search made the schedule worse");
   result.makespan = improved;

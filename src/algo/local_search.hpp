@@ -23,24 +23,31 @@ struct LocalSearchStats {
   std::uint64_t rounds = 0;
 };
 
+/// Default round cap of improve_schedule.
+inline constexpr std::uint64_t kLocalSearchRounds = 10'000;
+
 /// Improves `schedule` in place until move+swap local optimality or until
 /// `max_rounds` passes. Returns the statistics of the run. Anytime: a
 /// cancelled `cancel` token stops between rounds, keeping the improvements
 /// made so far — the result is never worse than the input.
 LocalSearchStats improve_schedule(const Instance& instance, Schedule& schedule,
-                                  std::uint64_t max_rounds = 10'000,
+                                  std::uint64_t max_rounds = kLocalSearchRounds,
                                   const CancellationToken& cancel = {});
 
 /// A solver decorator: runs an inner heuristic, then polishes its schedule.
+/// Both stages run under the context; a stopped token ends the polish
+/// between rounds, keeping the improvements made so far.
 class LocalSearchSolver final : public Solver {
  public:
   /// Wraps `inner` (non-owning; must outlive this solver).
   explicit LocalSearchSolver(Solver& inner);
 
   [[nodiscard]] std::string name() const override;
-  SolverResult solve(const Instance& instance) override;
 
  private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
+
   Solver& inner_;
 };
 

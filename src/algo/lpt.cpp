@@ -24,7 +24,8 @@ void lpt_onto(const Instance& instance, std::span<const int> jobs, Schedule& sch
   list_schedule_onto(instance, order, schedule);
 }
 
-SolverResult LptSolver::solve(const Instance& instance) {
+SolverResult LptSolver::solve_impl(const Instance& instance,
+                                   const SolveContext& /*context*/) {
   Stopwatch sw;
   Schedule schedule(instance.machines());
   std::vector<int> jobs(static_cast<std::size_t>(instance.jobs()));

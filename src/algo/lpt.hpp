@@ -23,7 +23,10 @@ void lpt_onto(const Instance& instance, std::span<const int> jobs, Schedule& sch
 class LptSolver final : public Solver {
  public:
   [[nodiscard]] std::string name() const override { return "LPT"; }
-  SolverResult solve(const Instance& instance) override;
+
+ private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
 };
 
 }  // namespace pcmax

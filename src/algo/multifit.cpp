@@ -36,13 +36,14 @@ bool first_fit_decreasing(const Instance& instance, Time capacity, Schedule* out
   return true;
 }
 
-MultifitSolver::MultifitSolver(int iterations, CancellationToken cancel)
-    : iterations_(iterations), cancel_(std::move(cancel)) {
+MultifitSolver::MultifitSolver(int iterations) : iterations_(iterations) {
   PCMAX_REQUIRE(iterations >= 1, "MULTIFIT needs at least one iteration");
 }
 
-SolverResult MultifitSolver::solve(const Instance& instance) {
+SolverResult MultifitSolver::solve_impl(const Instance& instance,
+                                        const SolveContext& context) {
   Stopwatch sw;
+  const CancellationToken cancel = context.effective_token();
   // Coffman et al.'s search window: CL = max(avg load, max t) is a valid
   // lower bound; CU = max(2*avg, max t) always admits an FFD packing.
   const Time avg = (instance.total_time() + instance.machines() - 1) /
@@ -62,7 +63,7 @@ SolverResult MultifitSolver::solve(const Instance& instance) {
   for (int it = 0; it < iterations_ && lo < hi; ++it) {
     // Anytime: stop between iterations, keeping the best packing so far
     // (at worst the guaranteed-feasible upper-bound packing).
-    if (cancel_.valid() && cancel_.should_stop()) break;
+    if (cancel.valid() && cancel.should_stop()) break;
     const Time capacity = lo + (hi - lo) / 2;
     Schedule s(instance.machines());
     if (first_fit_decreasing(instance, capacity, &s)) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include "core/solver.hpp"
-#include "util/deadline.hpp"
 
 namespace pcmax {
 
@@ -21,18 +20,19 @@ bool first_fit_decreasing(const Instance& instance, Time capacity, Schedule* out
 class MultifitSolver final : public Solver {
  public:
   /// `iterations` is the binary-search depth k (default 10 ≈ 2^-10 slack).
-  /// Anytime: a cancelled `cancel` token stops the binary search between
+  /// Anytime: a stopped context token ends the binary search between
   /// iterations, keeping the best packing found — the guaranteed-feasible
   /// FFD packing at the upper bound always exists, so a valid schedule is
-  /// returned even when cancelled before the first iteration.
-  explicit MultifitSolver(int iterations = 10, CancellationToken cancel = {});
+  /// returned even when stopped before the first iteration.
+  explicit MultifitSolver(int iterations = 10);
 
   [[nodiscard]] std::string name() const override { return "MULTIFIT"; }
-  SolverResult solve(const Instance& instance) override;
 
  private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
+
   int iterations_;
-  CancellationToken cancel_;
 };
 
 }  // namespace pcmax

@@ -26,7 +26,8 @@ Time clamp_upper_bound_to_incumbent(const DpLimits& limits, Time lb, Time ub,
 }
 
 DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
-                     const DpBackendFn& dp, const DpLimits& limits) {
+                     const DpBackendFn& dp, const DpLimits& limits,
+                     const CancellationToken& cancel) {
   // One "probe" span covers rounding + config enumeration + the DP itself.
   const std::uint64_t probe_t0 = obs::monotonic_ns();
   const obs::ScopedTimer probe_timer(obs::Timer::kBisectionProbe);
@@ -35,7 +36,7 @@ DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
   }
 
   fault_hit("bisection.probe");
-  if (limits.cancel.valid()) limits.cancel.check();
+  if (cancel.valid()) cancel.check();
 
   const RoundingParams params = RoundingParams::make(target, k);
   const JobPartition partition = partition_jobs(instance, params);
@@ -43,7 +44,7 @@ DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
   std::vector<int> counts = rounded.class_count;
   StateSpace space(std::move(counts), limits.max_table_entries);
   ConfigSet configs =
-      enumerate_configs(rounded, space, limits.max_configs, limits.cancel);
+      enumerate_configs(rounded, space, limits.max_configs, cancel);
   DpRun run = dp(rounded, space, configs);
 
   if (obs::Metrics* metrics = obs::current()) {
@@ -55,7 +56,8 @@ DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
 
 BisectionResult bisect_target_makespan(const Instance& instance, int k,
                                        const DpBackendFn& dp,
-                                       const DpLimits& limits) {
+                                       const DpLimits& limits,
+                                       const CancellationToken& cancel) {
   BisectionResult result;
   result.lb0 = makespan_lower_bound(instance);
   result.ub0 = makespan_upper_bound(instance);
@@ -67,7 +69,7 @@ BisectionResult bisect_target_makespan(const Instance& instance, int k,
   while (lb < ub) {
     const Time target = lb + (ub - lb) / 2;
     Stopwatch sw;
-    const DpAtTarget at = run_dp_at(instance, target, k, dp, limits);
+    const DpAtTarget at = run_dp_at(instance, target, k, dp, limits, cancel);
     const double seconds = sw.elapsed_seconds();
 
     const bool feasible =

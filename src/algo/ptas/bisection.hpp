@@ -29,10 +29,6 @@ using DpBackendFn = std::function<DpRun(const RoundedInstance&, const StateSpace
 struct DpLimits {
   std::size_t max_table_entries = std::size_t{1} << 26;  ///< ~64M entries
   std::size_t max_configs = std::size_t{1} << 22;
-  /// Cooperative stop signal, checked before each probe and threaded into
-  /// config enumeration (rides along with the budgets, which already reach
-  /// every probe site). The DP backend carries its own copy.
-  CancellationToken cancel;
   /// Optional shared incumbent board (core/solve_context.hpp). When set,
   /// the search reads it ONCE at start and clamps its initial upper bound
   /// to the published makespan. Sound: a published makespan M is the
@@ -53,8 +49,11 @@ struct DpAtTarget {
 };
 
 /// Rounds, enumerates configurations, and runs `dp` at target makespan T.
+/// `cancel` is checked before the probe and threaded into configuration
+/// enumeration; the DP backend carries its own copy.
 DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
-                     const DpBackendFn& dp, const DpLimits& limits);
+                     const DpBackendFn& dp, const DpLimits& limits,
+                     const CancellationToken& cancel = {});
 
 /// Applies the read-once incumbent clamp described on DpLimits::incumbent:
 /// returns min(ub, board best) floored at lb, sets *clamped, and counts a
@@ -89,8 +88,11 @@ struct BisectionResult {
   std::vector<BisectionIteration> trace;
 };
 
-/// Runs the bisection loop of Algorithm 1 with the supplied DP backend.
+/// Runs the bisection loop of Algorithm 1 with the supplied DP backend;
+/// every probe runs under `cancel` (see run_dp_at).
 BisectionResult bisect_target_makespan(const Instance& instance, int k,
-                                       const DpBackendFn& dp, const DpLimits& limits);
+                                       const DpBackendFn& dp,
+                                       const DpLimits& limits,
+                                       const CancellationToken& cancel = {});
 
 }  // namespace pcmax

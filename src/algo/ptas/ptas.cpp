@@ -79,19 +79,8 @@ DpBackendFn PtasSolver::make_backend(DpTableMode mode,
   };
 }
 
-SolveContext PtasSolver::legacy_context(bool* used_legacy_cancel) const {
-  // Prefer the limits-level token when both legacy fields are set — that is
-  // what the pre-v2 code did (solve_with_trace only copied options_.cancel
-  // into limits when limits.cancel was unset).
-  const CancellationToken& legacy = options_.limits.cancel.valid()
-                                        ? options_.limits.cancel
-                                        : options_.cancel;
-  *used_legacy_cancel = legacy.valid();
-  return SolveContext::with_token(legacy);
-}
-
-PtasResult PtasSolver::solve_impl(const Instance& instance,
-                                  const SolveContext& context) {
+PtasResult PtasSolver::solve_with_trace(const Instance& instance,
+                                        const SolveContext& context) {
   Stopwatch sw;
   const ContextScopes scopes(context);
   const CancellationToken stop = context.effective_token();
@@ -104,25 +93,22 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
   const DpBackendFn final_backend =
       make_backend(DpTableMode::kValuesAndChoices, stop);
 
-  // The token rides along with the DP budgets, which already reach every
-  // probe site (the bisection and the reconstruction probe).
   // The incumbent board, when the context carries one, clamps the search's
   // initial upper bound (read once — see DpLimits::incumbent).
   DpLimits limits = options_.limits;
-  limits.cancel = stop;
   if (limits.incumbent == nullptr) limits.incumbent = context.incumbent;
 
   // Search for the target makespan: the paper's bisection (Alg. 1
   // Lines 5-30).
   BisectionResult bisection =
-      bisect_target_makespan(instance, k_, probe_backend, limits);
+      bisect_target_makespan(instance, k_, probe_backend, limits, stop);
 
   // Re-run the DP at the final target and reconstruct (Lines 26, 31-51).
   // The final T* equals the last feasible probe, so this probe is feasible
   // by the bisection invariant (UB is only ever lowered to feasible values).
   Stopwatch probe_clock;
   const DpAtTarget at =
-      run_dp_at(instance, bisection.t_star, k_, final_backend, limits);
+      run_dp_at(instance, bisection.t_star, k_, final_backend, limits, stop);
   const double final_probe_seconds = probe_clock.elapsed_seconds();
   Schedule schedule = reconstruct_full_schedule(instance, at);
 
@@ -205,28 +191,9 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
   return result;
 }
 
-PtasResult PtasSolver::solve_with_trace(const Instance& instance) {
-  bool used_legacy_cancel = false;
-  const SolveContext context = legacy_context(&used_legacy_cancel);
-  PtasResult result = solve_impl(instance, context);
-  if (used_legacy_cancel) {
-    note_deprecated_field(result, "PtasOptions.cancel", "SolveContext.cancel");
-  }
-  return result;
-}
-
-PtasResult PtasSolver::solve_with_trace(const Instance& instance,
-                                        const SolveContext& context) {
-  return solve_impl(instance, context);
-}
-
-SolverResult PtasSolver::solve(const Instance& instance) {
-  return solve_with_trace(instance);
-}
-
-SolverResult PtasSolver::solve(const Instance& instance,
-                               const SolveContext& context) {
-  return solve_impl(instance, context);
+SolverResult PtasSolver::solve_impl(const Instance& instance,
+                                    const SolveContext& context) {
+  return solve_with_trace(instance, context.without_scopes());
 }
 
 }  // namespace pcmax

@@ -74,13 +74,9 @@ std::vector<std::string> select_racers(const Instance& instance,
 PortfolioSolver::PortfolioSolver(PortfolioOptions options)
     : options_(std::move(options)) {}
 
-SolverResult PortfolioSolver::solve(const Instance& instance) {
-  return race(instance, SolveContext::unlimited());
-}
-
-SolverResult PortfolioSolver::solve(const Instance& instance,
-                                    const SolveContext& context) {
-  return race(instance, context);
+SolverResult PortfolioSolver::solve_impl(const Instance& instance,
+                                         const SolveContext& context) {
+  return race(instance, context.without_scopes());
 }
 
 namespace {

@@ -93,17 +93,16 @@ class PortfolioSolver final : public Solver {
 
   [[nodiscard]] std::string name() const override { return "Portfolio"; }
 
-  /// Never throws for resource reasons (see file comment).
-  SolverResult solve(const Instance& instance) override;
-  SolverResult solve(const Instance& instance,
-                     const SolveContext& context) override;
-
   /// Like solve(), but returns the extended result with per-racer reports.
   PortfolioResult race(const Instance& instance, const SolveContext& context);
 
   [[nodiscard]] const PortfolioOptions& options() const { return options_; }
 
  private:
+  /// Never throws for resource reasons (see file comment).
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
+
   PortfolioOptions options_;
 };
 

@@ -14,45 +14,20 @@ namespace pcmax {
 
 ResilientSolver::ResilientSolver(ResilientOptions options)
     : options_(std::move(options)) {
-  PCMAX_REQUIRE(options_.time_limit_ms >= 0,
-                "time limit must be non-negative (0 = unlimited)");
   PCMAX_REQUIRE(options_.multifit_iterations >= 1,
                 "MULTIFIT fallback needs at least one iteration");
-}
-
-SolverResult ResilientSolver::solve(const Instance& instance) {
-  SolveContext context = SolveContext::with_token(options_.cancel);
-  if (options_.time_limit_ms > 0) {
-    context.deadline = Deadline::after_ms(options_.time_limit_ms);
-  }
-  SolverResult result = solve_impl(instance, context);
-  if (options_.cancel.valid()) {
-    note_deprecated_field(result, "ResilientOptions.cancel",
-                          "SolveContext.cancel");
-  }
-  if (options_.time_limit_ms > 0) {
-    note_deprecated_field(result, "ResilientOptions.time_limit_ms",
-                          "SolveContext.deadline");
-  }
-  return result;
-}
-
-SolverResult ResilientSolver::solve(const Instance& instance,
-                                    const SolveContext& context) {
-  return solve_impl(instance, context);
 }
 
 SolverResult ResilientSolver::solve_impl(const Instance& instance,
                                          const SolveContext& context) {
   Stopwatch sw;
-  const ContextScopes scopes(context);
   obs::Metrics* metrics = obs::current();
   const std::uint64_t solve_begin = metrics != nullptr ? obs::monotonic_ns() : 0;
   if (metrics != nullptr) metrics->add(0, obs::Counter::kResilientSolves);
 
   // Effective stop signal: the caller's token, plus this solve's deadline
   // layered on top (the caller's token is observed, never mutated). Inner
-  // solvers get the context minus its scopes (installed above, once).
+  // solvers get the context minus its scopes (Solver::solve installed them).
   const SolveContext inner = context.without_scopes();
   const CancellationToken token = inner.effective_token();
 
@@ -91,14 +66,15 @@ SolverResult ResilientSolver::solve_impl(const Instance& instance,
   // Stages 2+3: constructive fallback + polish. Both rungs terminate
   // promptly even when `token` has already stopped — MULTIFIT keeps its
   // guaranteed-feasible upper-bound packing and LPT never polls the token.
+  // MULTIFIT gets the inner context, so it stops on the same signal.
   if (!reason.empty()) {
     if (metrics != nullptr) metrics->add(0, obs::Counter::kResilientFallbacks);
     const std::uint64_t fallback_begin =
         metrics != nullptr ? obs::monotonic_ns() : 0;
 
     Stopwatch stage;
-    MultifitSolver multifit(options_.multifit_iterations, token);
-    SolverResult multifit_result = multifit.solve(instance);
+    SolverResult multifit_result =
+        MultifitSolver(options_.multifit_iterations).solve(instance, inner);
     SolverResult lpt_result = LptSolver().solve(instance);
     const bool multifit_wins = multifit_result.makespan <= lpt_result.makespan;
     const double ptas_seconds = result.stats["stage_ptas_seconds"];

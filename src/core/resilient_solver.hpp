@@ -38,18 +38,17 @@
 
 #include "algo/ptas/ptas.hpp"
 #include "core/solver.hpp"
-#include "util/deadline.hpp"
 
 namespace pcmax {
 
 /// Options of the graceful-degradation driver.
 struct ResilientOptions {
-  /// Configuration of the preferred solver (stage 1). Its `cancel` field is
-  /// replaced by the driver's effective token (external cancel + deadline).
+  /// Configuration of the preferred solver (stage 1). It runs under the
+  /// driver's context (external cancel + deadline).
   PtasOptions ptas;
 
-  /// Optional externally-owned stage-1 solver (API v2). When set, stage 1
-  /// runs THIS solver (via its contextual entry point) instead of
+  /// Optional externally-owned stage-1 solver. When set, stage 1
+  /// runs THIS solver (under the driver's context) instead of
   /// constructing a PtasSolver from `ptas` — this is how the portfolio
   /// becomes the ladder's top rung without a core -> portfolio dependency.
   /// Non-owning; must outlive the ResilientSolver. Any resource-shaped
@@ -63,21 +62,6 @@ struct ResilientOptions {
   /// degraded with degradation_reason "ptas-skipped". Ignored when
   /// `preferred` is set.
   bool ptas_enabled = true;
-
-  /// DEPRECATED (API v2): pass the budget via SolveContext.deadline and
-  /// call solve(instance, context) instead. Still honoured by the legacy
-  /// solve(instance) path (with a one-time deprecation note). Wall-clock
-  /// budget for the whole solve in milliseconds; 0 = unlimited. The budget
-  /// covers the stage-1 attempt; the fallback rungs run under the same
-  /// (then typically expired) token and still terminate promptly.
-  std::int64_t time_limit_ms = 0;
-
-  /// DEPRECATED (API v2): pass the token via SolveContext.cancel and call
-  /// solve(instance, context) instead. Still honoured by the legacy
-  /// solve(instance) path (with a one-time deprecation note). External
-  /// cancellation signal layered under the deadline; the driver links its
-  /// per-solve deadline to this token without mutating it.
-  CancellationToken cancel;
 
   /// Binary-search depth of the MULTIFIT fallback rung.
   int multifit_iterations = 10;
@@ -93,22 +77,16 @@ class ResilientSolver final : public Solver {
 
   [[nodiscard]] std::string name() const override { return "Resilient"; }
 
-  /// Never throws DeadlineExceededError / CancelledError /
-  /// ResourceLimitError; always returns a complete valid schedule with
-  /// makespan at most the LPT bound. Legacy (v1) entry point: honours the
-  /// deprecated ResilientOptions.cancel / time_limit_ms fields.
-  SolverResult solve(const Instance& instance) override;
-
-  /// API v2 entry point: stop signal, deadline, and incumbent board come
-  /// from the context; same availability guarantee as solve(instance).
-  SolverResult solve(const Instance& instance,
-                     const SolveContext& context) override;
-
   [[nodiscard]] const ResilientOptions& options() const { return options_; }
 
  private:
+  /// Never throws DeadlineExceededError / CancelledError /
+  /// ResourceLimitError; always returns a complete valid schedule with
+  /// makespan at most the LPT bound. The context's deadline covers the
+  /// stage-1 attempt; the fallback rungs run under the same (then typically
+  /// expired) token and still terminate promptly.
   SolverResult solve_impl(const Instance& instance,
-                          const SolveContext& context);
+                          const SolveContext& context) override;
 
   ResilientOptions options_;
 };

@@ -1,18 +1,12 @@
 // SolveContext — the one object that carries a solve's cross-cutting knobs.
 //
-// PR 2 threaded deadlines and cancellation through the library by adding a
-// `cancel` (and sometimes `time_limit_ms`) field to every options struct:
-// PtasOptions, ParallelDpOptions, MipOptions, FeasibilitySearchLimits,
-// ResilientOptions, SolveRequest all re-declared the same three knobs, and
-// every driver (CLI, resilient ladder, solve service) re-implemented the
-// "link my deadline under the caller's token" dance by hand. SolveContext
-// consolidates them: one value type accepted by every solver entry point
-// (`Solver::solve(instance, context)`), threaded once.
+// Every solver takes its stop signal and budget from here, through the one
+// entry point `Solver::solve(instance, context)`; no options struct carries
+// a cancel token or a time limit of its own.
 //
 //  * cancel / deadline — the cooperative stop signal and the wall-clock
 //    budget it enforces. `effective_token()` links them, observing (never
-//    mutating) the caller's token, exactly as each driver used to do by
-//    hand.
+//    mutating) the caller's token.
 //  * incumbent — an optional shared IncumbentBoard: the best makespan any
 //    cooperating solver has produced so far. Racing solvers publish to it
 //    and prune/clamp against it (the PTAS bisection tightens its initial
@@ -25,10 +19,6 @@
 //    FaultScope semantics), so only single-driver processes — the CLI,
 //    benches, tests — should set them; concurrent services leave them null
 //    and install their own scopes at process level.
-//
-// The legacy per-struct fields keep working through thin back-compat shims:
-// the v1 `solve(instance)` path forwards them and stamps a one-time
-// deprecation note into SolverResult::notes (see note_deprecated_field).
 #pragma once
 
 #include <atomic>
@@ -36,7 +26,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "core/instance.hpp"
 #include "obs/metrics.hpp"
@@ -44,8 +33,6 @@
 #include "util/fault.hpp"
 
 namespace pcmax {
-
-struct SolverResult;
 
 /// Shared best-known-makespan board for cooperating solvers (the portfolio's
 /// racers, or any caller that wants to seed a solver with a known bound).
@@ -83,7 +70,7 @@ class IncumbentBoard {
   std::atomic<std::uint64_t> updates_{0};
 };
 
-/// The v2 solve-scoped parameter object. Value type: copying shares the
+/// The solve-scoped parameter object. Value type: copying shares the
 /// cancellation state and the incumbent board (both are handles), which is
 /// exactly what racing solvers need.
 struct SolveContext {
@@ -110,7 +97,8 @@ struct SolveContext {
   static SolveContext unlimited() { return {}; }
 
   /// A context whose deadline expires `ms` milliseconds from now
-  /// (0 = unlimited, matching the legacy time_limit_ms convention).
+  /// (ms <= 0 = unlimited, the time_limit_ms convention of the CLI and the
+  /// service).
   static SolveContext with_time_limit_ms(std::int64_t ms);
 
   /// A context observing an existing token, with no own deadline.
@@ -153,16 +141,5 @@ class ContextScopes {
   std::optional<FaultScope> fault_;
   std::optional<obs::MetricsScope> metrics_;
 };
-
-/// Back-compat shim support: stamps `result.notes["deprecation.<field>"]`
-/// the FIRST time `field` is seen in this process and returns true; later
-/// calls for the same field are silent no-ops (one-time semantics, so hot
-/// callers are not spammed). Thread-safe.
-bool note_deprecated_field(SolverResult& result, const std::string& field,
-                           const std::string& replacement);
-
-/// Clears the process-wide "already warned" set so tests can assert the
-/// note deterministically.
-void reset_deprecation_notes_for_testing();
 
 }  // namespace pcmax

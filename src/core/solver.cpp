@@ -1,5 +1,5 @@
 // Solver is an interface; this translation unit anchors its vtable and the
-// default SolveContext entry point.
+// one public entry point.
 #include "core/solver.hpp"
 
 namespace pcmax {
@@ -7,7 +7,7 @@ namespace pcmax {
 SolverResult Solver::solve(const Instance& instance,
                            const SolveContext& context) {
   const ContextScopes scopes(context);
-  return solve(instance);
+  return solve_impl(instance, context);
 }
 
 }  // namespace pcmax

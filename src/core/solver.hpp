@@ -37,22 +37,19 @@ class Solver {
   /// Short name for reports ("LS", "LPT", "PTAS", "ParallelPTAS", "IP", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Solves `instance` and returns a complete schedule with statistics.
-  /// Implementations fill `seconds` with their own wall time.
-  virtual SolverResult solve(const Instance& instance) = 0;
+  /// Solves `instance` under `context` (deadline, cancellation, shared
+  /// incumbent board, optional metrics/fault scopes) and returns a complete
+  /// schedule with statistics. Installs the context's scopes once, then
+  /// runs the solver's solve_impl. Solvers that can stop early poll
+  /// `context.effective_token()`; the rest ignore it.
+  SolverResult solve(const Instance& instance, const SolveContext& context = {});
 
-  /// API v2 entry point: solves under a SolveContext (deadline, cancellation,
-  /// shared incumbent board, optional metrics/fault scopes) threaded once
-  /// instead of per-options-struct knobs. The default implementation
-  /// installs the context's scopes and forwards to solve(instance) — correct
-  /// for solvers with no cooperative-stop support (LS, LPT, LDM). Solvers
-  /// that poll a token or read the incumbent board override this to merge
-  /// the context into their configuration.
-  ///
-  /// Derived classes that override either overload should add
-  /// `using Solver::solve;` so both stay visible on the concrete type.
-  virtual SolverResult solve(const Instance& instance,
-                             const SolveContext& context);
+ protected:
+  /// The solver itself. Implementations fill `seconds` with their own wall
+  /// time. The context's scopes are already installed: pass
+  /// `context.without_scopes()` to inner solvers.
+  virtual SolverResult solve_impl(const Instance& instance,
+                                  const SolveContext& context) = 0;
 };
 
 }  // namespace pcmax

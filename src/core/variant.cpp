@@ -100,14 +100,6 @@ SolverResult lift_reduced_result(const Instance& original,
 
 }  // namespace
 
-SolverResult solve_variant_with(Solver& solver, const Instance& instance) {
-  if (instance.variant() != ProblemVariant::kCapacity) {
-    return solver.solve(instance);
-  }
-  const Instance twin = variant_classic_twin(instance);
-  return lift_reduced_result(instance, twin, solver.solve(twin));
-}
-
 SolverResult solve_variant_with(Solver& solver, const Instance& instance,
                                 const SolveContext& context) {
   if (instance.variant() != ProblemVariant::kCapacity) {
@@ -124,13 +116,9 @@ VariantAdapterSolver::VariantAdapterSolver(std::unique_ptr<Solver> inner)
 
 std::string VariantAdapterSolver::name() const { return inner_->name(); }
 
-SolverResult VariantAdapterSolver::solve(const Instance& instance) {
-  return solve_variant_with(*inner_, instance);
-}
-
-SolverResult VariantAdapterSolver::solve(const Instance& instance,
-                                         const SolveContext& context) {
-  return solve_variant_with(*inner_, instance, context);
+SolverResult VariantAdapterSolver::solve_impl(const Instance& instance,
+                                              const SolveContext& context) {
+  return solve_variant_with(*inner_, instance, context.without_scopes());
 }
 
 }  // namespace pcmax

@@ -110,9 +110,8 @@ void validate_variant_schedule(const Instance& instance,
 /// schedule is lifted back to the original machine count (with
 /// "variant.*" provenance notes); classic and incremental instances are
 /// passed straight through, byte-identically.
-SolverResult solve_variant_with(Solver& solver, const Instance& instance);
 SolverResult solve_variant_with(Solver& solver, const Instance& instance,
-                                const SolveContext& context);
+                                const SolveContext& context = {});
 
 /// Wraps an owned solver so the wrapped pair accepts every variant the
 /// reduction covers. The registry uses this to lift its classic builtins to
@@ -122,12 +121,11 @@ class VariantAdapterSolver final : public Solver {
   explicit VariantAdapterSolver(std::unique_ptr<Solver> inner);
 
   [[nodiscard]] std::string name() const override;
-  using Solver::solve;
-  SolverResult solve(const Instance& instance) override;
-  SolverResult solve(const Instance& instance,
-                     const SolveContext& context) override;
 
  private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
+
   std::unique_ptr<Solver> inner_;
 };
 

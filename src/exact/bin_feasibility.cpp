@@ -16,6 +16,7 @@ struct Search {
   const Instance& instance;
   Time capacity;
   const FeasibilitySearchLimits& limits;
+  const CancellationToken& cancel;
   FeasibilityStats& stats;
   Stopwatch clock;
 
@@ -39,8 +40,9 @@ struct Search {
   std::unordered_set<__uint128_t, U128Hash> failed;
 
   explicit Search(const Instance& inst, Time cap,
-                  const FeasibilitySearchLimits& lim, FeasibilityStats& st)
-      : instance(inst), capacity(cap), limits(lim), stats(st) {
+                  const FeasibilitySearchLimits& lim,
+                  const CancellationToken& stop, FeasibilityStats& st)
+      : instance(inst), capacity(cap), limits(lim), cancel(stop), stats(st) {
     std::vector<int> jobs(static_cast<std::size_t>(inst.jobs()));
     for (int j = 0; j < inst.jobs(); ++j) jobs[static_cast<std::size_t>(j)] = j;
     order = sort_jobs_lpt(inst, jobs);
@@ -72,7 +74,7 @@ struct Search {
       budget_exhausted = true;
       return true;
     }
-    if (limits.cancel.valid() && limits.cancel.cancel_requested()) {
+    if (cancel.valid() && cancel.cancel_requested()) {
       budget_exhausted = true;
       return true;
     }
@@ -80,7 +82,7 @@ struct Search {
     // token's own deadline is promoted to the flag by the same sampling).
     if ((stats.nodes & 0xfff) == 0 &&
         (clock.elapsed_seconds() > limits.max_seconds ||
-         (limits.cancel.valid() && limits.cancel.should_stop()))) {
+         (cancel.valid() && cancel.should_stop()))) {
       budget_exhausted = true;
       return true;
     }
@@ -144,7 +146,8 @@ struct Search {
 
 Feasibility pack_within(const Instance& instance, Time capacity,
                         const FeasibilitySearchLimits& limits, Schedule* out,
-                        FeasibilityStats* stats) {
+                        FeasibilityStats* stats,
+                        const CancellationToken& cancel) {
   FeasibilityStats local_stats;
   FeasibilityStats& st = stats != nullptr ? *stats : local_stats;
   st = FeasibilityStats{};
@@ -153,7 +156,7 @@ Feasibility pack_within(const Instance& instance, Time capacity,
     return Feasibility::kInfeasible;  // the longest job fits nowhere
   }
 
-  Search search(instance, capacity, limits, st);
+  Search search(instance, capacity, limits, cancel, st);
   const bool found = search.dfs(0);
   st.seconds = search.clock.elapsed_seconds();
 

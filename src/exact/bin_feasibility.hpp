@@ -32,9 +32,6 @@ enum class Feasibility {
 struct FeasibilitySearchLimits {
   std::uint64_t max_nodes = 50'000'000;  ///< branch-and-bound node budget
   double max_seconds = 30.0;             ///< wall-clock budget
-  /// Cooperative stop signal: a cancel counts as an exhausted budget, so the
-  /// probe answers kUnknown rather than throwing (three-valued semantics).
-  CancellationToken cancel;
 };
 
 /// Statistics of one feasibility probe.
@@ -46,9 +43,12 @@ struct FeasibilityStats {
 
 /// Decides whether all jobs of `instance` fit within capacity `capacity` on
 /// the instance's machines. On kFeasible and non-null `out`, fills a witness
-/// schedule. `stats`, if non-null, receives search counters.
+/// schedule. `stats`, if non-null, receives search counters. A stopped
+/// `cancel` counts as an exhausted budget, so the probe answers kUnknown
+/// rather than throwing (three-valued semantics).
 Feasibility pack_within(const Instance& instance, Time capacity,
                         const FeasibilitySearchLimits& limits, Schedule* out,
-                        FeasibilityStats* stats);
+                        FeasibilityStats* stats,
+                        const CancellationToken& cancel = {});
 
 }  // namespace pcmax

@@ -72,7 +72,8 @@ BruteForceSolver::BruteForceSolver(int max_jobs) : max_jobs_(max_jobs) {
   PCMAX_REQUIRE(max_jobs >= 1, "max_jobs must be positive");
 }
 
-SolverResult BruteForceSolver::solve(const Instance& instance) {
+SolverResult BruteForceSolver::solve_impl(const Instance& instance,
+                                          const SolveContext& /*context*/) {
   PCMAX_REQUIRE(instance.jobs() <= max_jobs_,
                 "instance too large for brute force (raise max_jobs deliberately)");
   Stopwatch sw;
@@ -101,7 +102,8 @@ CapacityBruteForceSolver::CapacityBruteForceSolver(int max_jobs)
   PCMAX_REQUIRE(max_jobs >= 1, "max_jobs must be positive");
 }
 
-SolverResult CapacityBruteForceSolver::solve(const Instance& instance) {
+SolverResult CapacityBruteForceSolver::solve_impl(const Instance& instance,
+                                                  const SolveContext& /*context*/) {
   PCMAX_REQUIRE(instance.variant() == ProblemVariant::kCapacity,
                 "CapacityBruteForce requires a capacity-restricted instance");
   PCMAX_REQUIRE(instance.jobs() <= max_jobs_,

@@ -15,9 +15,10 @@ class BruteForceSolver final : public Solver {
   explicit BruteForceSolver(int max_jobs = 16);
 
   [[nodiscard]] std::string name() const override { return "BruteForce"; }
-  SolverResult solve(const Instance& instance) override;
-
  private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
+
   int max_jobs_;
 };
 
@@ -37,9 +38,10 @@ class CapacityBruteForceSolver final : public Solver {
   [[nodiscard]] std::string name() const override {
     return "CapacityBruteForce";
   }
-  SolverResult solve(const Instance& instance) override;
-
  private:
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
+
   int max_jobs_;
 };
 

@@ -14,25 +14,9 @@ namespace pcmax {
 
 ExactSolver::ExactSolver(ExactSolverOptions options) : options_(options) {}
 
-SolverResult ExactSolver::solve(const Instance& instance) {
-  SolveContext context = SolveContext::with_token(options_.probe_limits.cancel);
-  SolverResult result = solve_impl(instance, context);
-  if (options_.probe_limits.cancel.valid()) {
-    note_deprecated_field(result, "ExactSolverOptions.probe_limits.cancel",
-                          "SolveContext.cancel");
-  }
-  return result;
-}
-
-SolverResult ExactSolver::solve(const Instance& instance,
-                                const SolveContext& context) {
-  return solve_impl(instance, context);
-}
-
 SolverResult ExactSolver::solve_impl(const Instance& instance,
                                      const SolveContext& context) {
   Stopwatch sw;
-  const ContextScopes scopes(context);
   SolverResult result;
 
   // Strong incumbent: LPT, improved by MULTIFIT when it does better. This
@@ -72,9 +56,7 @@ SolverResult ExactSolver::solve_impl(const Instance& instance,
   bool proven = true;
   const char* limit_reason = "";
 
-  FeasibilitySearchLimits probe_limits = options_.probe_limits;
-  probe_limits.cancel = context.effective_token();
-  const CancellationToken& cancel = probe_limits.cancel;
+  const CancellationToken cancel = context.effective_token();
   while (lb < ub) {
     // Anytime semantics: a cancel or an exhausted total budget returns the
     // incumbent without an optimality proof, never an exception.
@@ -92,7 +74,8 @@ SolverResult ExactSolver::solve_impl(const Instance& instance,
     Schedule witness(instance.machines());
     FeasibilityStats stats;
     const Feasibility answer =
-        pack_within(instance, mid, probe_limits, &witness, &stats);
+        pack_within(instance, mid, options_.probe_limits, &witness, &stats,
+                    cancel);
     nodes += stats.nodes;
     ++probes;
 

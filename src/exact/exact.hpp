@@ -15,11 +15,8 @@ namespace pcmax {
 
 /// Configuration of the exact solver.
 struct ExactSolverOptions {
-  /// Budgets applied to each feasibility probe. The `cancel` member is
-  /// DEPRECATED as a solver-level stop signal (API v2): pass it via
-  /// SolveContext.cancel and call solve(instance, context) instead. The
-  /// legacy solve(instance) path still honours it and stamps a one-time
-  /// deprecation note into SolverResult::notes.
+  /// Budgets applied to each feasibility probe. The probes stop on the
+  /// context's token.
   FeasibilitySearchLimits probe_limits;
   /// Overall wall-clock budget across all probes; once exceeded the solver
   /// returns the incumbent without optimality proof.
@@ -28,25 +25,22 @@ struct ExactSolverOptions {
 
 /// The exact solver ("IP" in the figure reproductions).
 ///
-/// API v2: solve(instance, context) cooperates with a shared IncumbentBoard
-/// when the context carries one — the board is snapshotted ONCE at solve
-/// start (deterministic replay for a fixed start bound), the snapshot clamps
-/// the binary-search upper bound (any published makespan is a feasible
-/// capacity), witnesses found by the probes are published back, and a search
-/// that closes the interval under an external clamp reports
-/// notes["certified_value"] even when its own schedule is worse.
+/// Cooperates with a shared IncumbentBoard when the context carries one —
+/// the board is snapshotted ONCE at solve start (deterministic replay for a
+/// fixed start bound), the snapshot clamps the binary-search upper bound
+/// (any published makespan is a feasible capacity), witnesses found by the
+/// probes are published back, and a search that closes the interval under
+/// an external clamp reports notes["certified_value"] even when its own
+/// schedule is worse.
 class ExactSolver final : public Solver {
  public:
   explicit ExactSolver(ExactSolverOptions options = {});
 
   [[nodiscard]] std::string name() const override { return "IP"; }
-  SolverResult solve(const Instance& instance) override;
-  SolverResult solve(const Instance& instance,
-                     const SolveContext& context) override;
 
  private:
   SolverResult solve_impl(const Instance& instance,
-                          const SolveContext& context);
+                          const SolveContext& context) override;
 
   ExactSolverOptions options_;
 };

@@ -173,7 +173,8 @@ SubsetDpSolver::SubsetDpSolver(Time max_total_time)
   PCMAX_REQUIRE(max_total_time >= 1, "budget must be positive");
 }
 
-SolverResult SubsetDpSolver::solve(const Instance& instance) {
+SolverResult SubsetDpSolver::solve_impl(const Instance& instance,
+                                        const SolveContext& /*context*/) {
   PCMAX_REQUIRE(instance.machines() <= 3,
                 "SubsetDpSolver supports at most 3 machines");
   if (instance.total_time() > max_total_time_) {

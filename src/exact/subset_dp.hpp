@@ -20,10 +20,11 @@ class SubsetDpSolver final : public Solver {
 
   [[nodiscard]] std::string name() const override { return "SubsetDP"; }
 
-  /// Throws InvalidArgumentError for m > 3 or totals above the budget.
-  SolverResult solve(const Instance& instance) override;
-
  private:
+  /// Throws InvalidArgumentError for m > 3 or totals above the budget.
+  SolverResult solve_impl(const Instance& instance,
+                          const SolveContext& context) override;
+
   Time max_total_time_;
 };
 

@@ -142,8 +142,7 @@ struct MipSearch {
   const Instance& instance;
   const MipOptions& options;
   Deadline deadline;
-  /// Effective stop signal: the context token (v2) or the deprecated
-  /// MipOptions.cancel lifted into a context (v1).
+  /// Effective stop signal of the context.
   CancellationToken stop;
   /// Shared incumbent board from the context; publish-side handle.
   std::shared_ptr<IncumbentBoard> board;
@@ -295,20 +294,6 @@ struct MipSearch {
 
 PcmaxIpSolver::PcmaxIpSolver(MipOptions options) : options_(options) {}
 
-SolverResult PcmaxIpSolver::solve(const Instance& instance) {
-  SolveContext context = SolveContext::with_token(options_.cancel);
-  SolverResult result = solve_impl(instance, context);
-  if (options_.cancel.valid()) {
-    note_deprecated_field(result, "MipOptions.cancel", "SolveContext.cancel");
-  }
-  return result;
-}
-
-SolverResult PcmaxIpSolver::solve(const Instance& instance,
-                                  const SolveContext& context) {
-  return solve_impl(instance, context);
-}
-
 SolverResult PcmaxIpSolver::solve_impl(const Instance& instance,
                                        const SolveContext& context) {
   if (instance.machines() > 64) {
@@ -319,7 +304,6 @@ SolverResult PcmaxIpSolver::solve_impl(const Instance& instance,
         static_cast<std::uint64_t>(instance.machines())));
   }
   Stopwatch sw;
-  const ContextScopes scopes(context);
   MipSearch search(instance, options_, context);
 
   NodeState state;

@@ -16,12 +16,12 @@
 
 #include "core/solver.hpp"
 #include "mip/lp.hpp"
-#include "util/deadline.hpp"
 
 namespace pcmax {
 
 /// Budgets of the MILP search. The solver is *anytime*: tripping any budget
-/// (nodes, wall clock, or a cancelled token) stops the search and returns
+/// (nodes, wall clock, or a stopped context token — its flag is polled per
+/// node, the clock at an amortised interval) stops the search and returns
 /// the best incumbent found so far with proven_optimal = false — it never
 /// throws for resource reasons. The incumbent is seeded with LPT, so the
 /// result is always a valid schedule no worse than LPT.
@@ -29,21 +29,15 @@ struct MipOptions {
   std::uint64_t max_nodes = 200'000;
   double max_seconds = 60.0;
   LpOptions lp;
-  /// DEPRECATED (API v2): pass the stop signal via SolveContext.cancel and
-  /// call solve(instance, context) instead. Still honoured by the legacy
-  /// solve(instance) path, which stamps a one-time deprecation note into
-  /// SolverResult::notes. Semantics unchanged: polled per node (flag) with
-  /// the wall clock sampled at an amortised interval.
-  CancellationToken cancel;
 };
 
 /// Branch-and-bound MILP solver for the P||Cmax integer program.
 ///
-/// API v2: solve(instance, context) additionally cooperates with a shared
-/// IncumbentBoard when the context carries one. The board is snapshotted
-/// ONCE at solve start (keeping the search deterministic for a fixed start
-/// bound): the snapshot tightens the prune cutoff below the LPT seed, and
-/// every incumbent the search adopts is published back to the board. When
+/// Cooperates with a shared IncumbentBoard when the context carries one.
+/// The board is snapshotted ONCE at solve start (keeping the search
+/// deterministic for a fixed start bound): the snapshot tightens the prune
+/// cutoff below the LPT seed, and every incumbent the search adopts is
+/// published back to the board. When
 /// the search runs to completion it has proven OPT >= cutoff, so the result
 /// carries notes["certified_value"] = min(own incumbent, snapshot) — the
 /// portfolio uses this to certify a racer's makespan as optimal even when
@@ -53,13 +47,10 @@ class PcmaxIpSolver final : public Solver {
   explicit PcmaxIpSolver(MipOptions options = {});
 
   [[nodiscard]] std::string name() const override { return "MILP"; }
-  SolverResult solve(const Instance& instance) override;
-  SolverResult solve(const Instance& instance,
-                     const SolveContext& context) override;
 
  private:
   SolverResult solve_impl(const Instance& instance,
-                          const SolveContext& context);
+                          const SolveContext& context) override;
 
   MipOptions options_;
 };

@@ -12,21 +12,23 @@ ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {
 }
 
 std::optional<CacheEntry> ResultCache::lookup(const Fingerprint& key,
-                                              const Instance& canonical) {
+                                              const Instance& canonical,
+                                              bool count_miss) {
   obs::Metrics* metrics = obs::current();
   std::lock_guard lock(mutex_);
   const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++stats_.misses;
-    if (metrics != nullptr) metrics->add(0, obs::Counter::kServiceCacheMisses);
-    return std::nullopt;
-  }
-  if (it->second->second.canonical != canonical) {
-    // 128-bit fingerprint collision: astronomically unlikely, but verified
-    // so it can only ever cost a recompute, not a wrong answer.
-    ++stats_.collisions;
-    ++stats_.misses;
-    if (metrics != nullptr) metrics->add(0, obs::Counter::kServiceCacheMisses);
+  // 128-bit fingerprint collisions are astronomically unlikely, but
+  // verified so they can only ever cost a recompute, not a wrong answer.
+  const bool collision =
+      it != map_.end() && it->second->second.canonical != canonical;
+  if (it == map_.end() || collision) {
+    if (count_miss) {
+      if (collision) ++stats_.collisions;
+      ++stats_.misses;
+      if (metrics != nullptr) {
+        metrics->add(0, obs::Counter::kServiceCacheMisses);
+      }
+    }
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency

@@ -67,7 +67,9 @@ struct ServiceOptions {
   unsigned lane_width = 1;
 
   /// Number of shared executor lanes; 0 = one per worker thread. Fewer
-  /// lanes than workers adds a second admission gate below the queues.
+  /// lanes than workers adds a second admission gate below the queues;
+  /// more than the effective worker count is rejected (only workers lease
+  /// lanes).
   unsigned lanes = 0;
 
   /// Bounded request-queue capacity across all shards (backpressure

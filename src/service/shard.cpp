@@ -193,28 +193,15 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
 
   std::string cache_note = cache_ != nullptr ? "miss" : "disabled";
   if (cache_ != nullptr) {
-    std::optional<CacheEntry> entry;
+    std::optional<SolveResponse> hit;
     try {
       fault_hit("service.cache");
-      entry = cache_->lookup(key, canonical.instance());
+      hit = cached_response(pending, /*count_miss=*/true);
     } catch (const ResourceLimitError& e) {
       // A failing cache must cost a recompute, never availability.
       cache_note = std::string("lookup-bypassed: ") + e.what();
     }
-    if (entry.has_value()) {
-      SolveResponse response;
-      response.fingerprint = key;
-      response.cache_hit = true;
-      response.makespan = entry->makespan;
-      response.algorithm = entry->algorithm;
-      response.proven_optimal = entry->proven_optimal;
-      // Lift the canonical-space assignment through THIS request's sort
-      // permutation: valid for its job numbering, same makespan.
-      response.schedule = canonical.lift(entry->assignment);
-      response.schedule.validate(pending.request.instance);
-      response.notes["cache"] = "hit";
-      return response;
-    }
+    if (hit.has_value()) return hit;
   }
 
   // Admission decision: map the pressure signal (shard queue depth, deadline
@@ -351,6 +338,35 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
   return response;
 }
 
+std::optional<SolveResponse> ServiceShard::cached_response(
+    const Pending& pending, bool count_miss) {
+  const CanonicalInstance& canonical = *pending.canonical;
+  const std::optional<CacheEntry> entry =
+      cache_->lookup(pending.key, canonical.instance(), count_miss);
+  if (!entry.has_value()) return std::nullopt;
+  SolveResponse response;
+  response.fingerprint = pending.key;
+  response.cache_hit = true;
+  response.makespan = entry->makespan;
+  response.algorithm = entry->algorithm;
+  response.proven_optimal = entry->proven_optimal;
+  // Lift the canonical-space assignment through THIS request's sort
+  // permutation: valid for its job numbering, same makespan.
+  response.schedule = canonical.lift(entry->assignment);
+  response.schedule.validate(pending.request.instance);
+  response.notes["cache"] = "hit";
+  return response;
+}
+
+bool ServiceShard::answer_from_cache(Pending& pending) {
+  if (cache_ == nullptr) return false;
+  std::optional<SolveResponse> hit =
+      cached_response(pending, /*count_miss=*/false);
+  if (!hit.has_value()) return false;
+  finish(pending, std::move(*hit), pending.enqueue_ns);
+  return true;
+}
+
 void ServiceShard::conclude_leadership(const Fingerprint& key,
                                        const CanonicalInstance& canonical,
                                        const SolveResponse* response) {
@@ -407,9 +423,6 @@ SolveResponse ServiceShard::cheap_solve(Pending& pending,
 SolveResponse ServiceShard::run_solver(Pending& pending, Tier tier,
                                        const std::string& forced_reason) {
   const CanonicalInstance& canonical = *pending.canonical;
-  // API v2: the stop signal rides in a SolveContext instead of the solver
-  // option structs (whose cancel fields are deprecated — using them here
-  // would stamp deprecation notes into every response).
   SolveContext context = SolveContext::with_token(pending.token);
 
   const ExecutorLanes::Lease lease = lanes_->acquire();

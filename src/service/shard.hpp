@@ -17,9 +17,9 @@
 //
 // The pipeline (admission tiers, cache probe, coalescing leadership, solver
 // dispatch, breaker verdicts, structured sheds) is the PR 7 single-queue
-// pipeline verbatim — a 1-shard service IS the PR 7 service, and
-// tests/service_shard_equivalence_test.cpp holds N-shard responses
-// byte-identical to it.
+// pipeline verbatim, plus a cache probe at admission — a 1-shard service
+// IS the PR 7 service, and tests/service_shard_equivalence_test.cpp holds
+// N-shard responses byte-identical to it.
 #pragma once
 
 #include <atomic>
@@ -93,6 +93,13 @@ class ServiceShard {
   /// Joins the shard's workers (after close()).
   void join();
 
+  /// Admission-time cache probe, run on the submitting thread: a request
+  /// whose result is cached is answered here (and true returned), so it
+  /// never waits for a queue slot behind solves. Fires no fault site and
+  /// leaves a miss uncounted — the dispatch-time probe, which stays for
+  /// duplicates that arrive before their leader is cached, counts it.
+  [[nodiscard]] bool answer_from_cache(Pending& pending);
+
   /// Static-policy enqueue: blocks while the queue is full; false once
   /// closed.
   [[nodiscard]] bool push_blocking(Pending pending);
@@ -131,6 +138,10 @@ class ServiceShard {
   /// as a coalescing follower (the leader will resolve its promise). May
   /// throw ResourceLimitError from a fault site.
   [[nodiscard]] std::optional<SolveResponse> handle(Pending& pending);
+  /// The cached response for `pending`, lifted through its own sort
+  /// permutation, or nullopt on a miss (counted only when `count_miss`).
+  [[nodiscard]] std::optional<SolveResponse> cached_response(
+      const Pending& pending, bool count_miss);
   /// The degraded path: MULTIFIT/LPT + polish, never the PTAS, no caching.
   [[nodiscard]] SolveResponse cheap_solve(Pending& pending,
                                           const std::string& reason);

@@ -53,6 +53,12 @@ SolveService::SolveService(ServiceOptions options)
                                         (s < options_.workers % shards));
     total_workers += shard_workers[s];
   }
+  // A worker is the only thing that leases a lane, so lanes beyond the
+  // worker count could never be used (and 2^32 - 1 of them exhaust memory).
+  PCMAX_REQUIRE(options_.lanes <= total_workers,
+                "lanes (" + std::to_string(options_.lanes) +
+                    ") must not exceed the worker count (" +
+                    std::to_string(total_workers) + ")");
   const unsigned lanes = options_.lanes == 0 ? total_workers : options_.lanes;
   lanes_ = std::make_unique<ExecutorLanes>(lanes, options_.lane_width);
 
@@ -172,6 +178,10 @@ SolveFuture SolveService::route_and_enqueue(ServiceShard::Pending pending) {
     shards_[shard]->finish(pending, std::move(shed), pending.enqueue_ns);
     return future;
   }
+
+  // Cache hits are answered here, on the submitting thread: they never wait
+  // behind queued solves for a slot, nor count against a tenant's quota.
+  if (shards_[shard]->answer_from_cache(pending)) return future;
 
   // Tenant quota: a capped tenant may hold only its weighted share of the
   // total queue capacity, counted across shards. The check-and-increment is

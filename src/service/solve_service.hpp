@@ -24,7 +24,8 @@
 //  * within a shard the PR 7 pipeline is unchanged: an LRU RESULT CACHE
 //    short-circuits fingerprint duplicates (hits lift the cached canonical
 //    schedule through the request's own sort permutation — a response is a
-//    pure function of machines + job multiset + epsilon); CONCURRENT
+//    pure function of machines + job multiset + epsilon), and is probed
+//    first at submission, so a hit never holds a queue slot; CONCURRENT
 //    DUPLICATES COALESCE behind one leader; the ADMISSION layer degrades
 //    per request (full -> lite -> heuristic -> structured shed) from a
 //    pressure signal over the shard's queue depth, deadline headroom and
@@ -80,12 +81,14 @@ class SolveService {
   SolveService& operator=(const SolveService&) = delete;
 
   /// Submits one request and returns its SolveFuture. Routing (canonical
-  /// form, fingerprint, shard) happens here, on the caller's thread. Under
-  /// the static policy, blocks while the destination shard's queue is full
-  /// (backpressure); under the tiered policy, the future resolves
-  /// immediately with a structured shed response instead. Tenant-quota
-  /// rejects resolve the same way under either policy. Throws Error once
-  /// the service is shutting down.
+  /// form, fingerprint, shard) happens here, on the caller's thread, and so
+  /// does the answer to a request whose result is already cached: the
+  /// future comes back resolved. Any other request takes a queue slot:
+  /// under the static policy, submission blocks while the destination
+  /// shard's queue is full (backpressure); under the tiered policy, the
+  /// future resolves immediately with a structured shed response instead.
+  /// Tenant-quota rejects resolve the same way under either policy. Throws
+  /// Error once the service is shutting down.
   [[nodiscard]] SolveFuture submit_async(SolveRequest request);
 
   /// Incremental fast path: submits a request whose canonical form (and

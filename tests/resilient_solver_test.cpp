@@ -68,9 +68,8 @@ TEST(ResilientSolver, ExpiredDeadlineStillReturnsAValidSchedule) {
 
 TEST(ResilientSolver, TimeLimitOptionLayersADeadline) {
   const Instance instance = small_instance();
-  ResilientOptions options;
-  options.time_limit_ms = 3'600'000;  // an hour: never trips
-  const SolverResult result = ResilientSolver(options).solve(instance);
+  const SolverResult result = ResilientSolver(ResilientOptions{}).solve(
+      instance, SolveContext::with_time_limit_ms(3'600'000));  // never trips
   result.schedule.validate(instance);
   EXPECT_EQ(result.notes.at("degradation_reason"), "none");
 }
@@ -232,9 +231,9 @@ TEST(ResilientSolver, ConcurrentSolvesKeepProvenanceConsistent) {
 }
 
 TEST(ResilientSolver, RejectsBadOptions) {
-  ResilientOptions negative_limit;
-  negative_limit.time_limit_ms = -5;
-  EXPECT_THROW((void)ResilientSolver(negative_limit), InvalidArgumentError);
+  // A negative time limit is no limit at all (the CLI and the service reject
+  // it before it reaches a context).
+  EXPECT_FALSE(SolveContext::with_time_limit_ms(-5).deadline.has_limit());
   ResilientOptions zero_multifit;
   zero_multifit.multifit_iterations = 0;
   EXPECT_THROW((void)ResilientSolver(zero_multifit), InvalidArgumentError);

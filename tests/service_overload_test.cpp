@@ -177,6 +177,52 @@ TEST(ServiceOverload, TieredPressureWalksTheWholeLadder) {
   EXPECT_EQ(stats.requests, 6u);
 }
 
+// A cache hit is answered at submission: with the only worker frozen and
+// its queue full, a cached request still comes back resolved, while a
+// fresh one is shed. Each request is counted once in the cache stats.
+TEST(ServiceOverload, CacheHitIsAnsweredAtAdmissionPastAFullQueue) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.queue_capacity = 2;
+  options.shed_policy = ShedPolicy::kTiered;
+  options.breaker_enabled = false;
+  SolveService service(options);
+  const Instance cached = overload_instance(1);
+  const SolveResponse first = service.submit(SolveRequest{cached}).get();
+  ASSERT_EQ(first.degradation_reason, "none");
+
+  GateHandler gate("service.request");
+  FaultScope scope(gate);
+  std::vector<SolveFuture> queued;
+  queued.push_back(service.submit(SolveRequest{overload_instance(2)}));
+  gate.wait_until_blocked();  // the worker is frozen in handle()
+  queued.push_back(service.submit(SolveRequest{overload_instance(3)}));
+  queued.push_back(service.submit(SolveRequest{overload_instance(4)}));
+
+  // The same job multiset in another order: same fingerprint, so a hit.
+  std::vector<Time> reversed(cached.times().rbegin(), cached.times().rend());
+  const Instance permuted(cached.machines(), std::move(reversed));
+  SolveFuture hit = service.submit(SolveRequest{permuted});
+  const bool ready_at_submit = hit.ready();
+  const SolveResponse full =
+      service.submit(SolveRequest{overload_instance(5)}).get();
+  gate.release();  // before any assertion can end the test early
+  for (SolveFuture& future : queued) (void)future.get();
+
+  EXPECT_EQ(full.degradation_reason, "shed:queue-full");
+  EXPECT_TRUE(ready_at_submit);
+  const SolveResponse response = hit.get();
+  EXPECT_TRUE(response.cache_hit);
+  EXPECT_FALSE(response.shed) << response.degradation_reason;
+  EXPECT_EQ(response.makespan, first.makespan);
+  EXPECT_NO_THROW(response.schedule.validate(permuted));
+  EXPECT_EQ(response.queue_seconds, 0.0);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 4u);  // the first solve and the 3 queued
+  EXPECT_EQ(stats.requests, 6u);
+}
+
 TEST(ServiceOverload, TenantQuotaShedsOnlyTheCappedTenant) {
   GateHandler gate("service.request");
   FaultScope scope(gate);

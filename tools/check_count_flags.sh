@@ -4,6 +4,7 @@
 # 1 and an `error:` line naming the flag, instead of wrapping on the cast to
 # an unsigned count: -1 used to become 2^32-1 workers (std::bad_alloc,
 # exit 134) or a SIZE_MAX queue, and 4294967296 workers used to become 0.
+# --lanes is also capped at the worker count: 2^32-1 lanes used to abort.
 #
 #   tools/check_count_flags.sh <pcmax-binary> <instance-file>
 #
@@ -41,6 +42,7 @@ check workers batch --workers -1
 check workers batch --workers 4294967296
 check lane-width batch --lane-width -1
 check lanes batch --lanes -1
+check lanes batch --lanes 4294967295 --lane-width 1
 check queue batch --queue -1
 check cache batch --cache -1
 check threads solve --threads -1

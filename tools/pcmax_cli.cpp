@@ -15,6 +15,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <random>
 
@@ -74,14 +75,16 @@ int cmd_generate(int argc, const char* const* argv) {
   return 0;
 }
 
-/// Reads an integer flag that must lie in [min, max of T] before it is
-/// narrowed to T, so `-1` or `4294967296` fail with an error naming the flag
-/// instead of wrapping to a huge count or to zero.
+/// Reads an integer flag that must lie in [min, min(limit, max of T)]
+/// before it is narrowed to T, so `-1` or `4294967296` fail with an error
+/// naming the flag instead of wrapping to a huge count or to zero.
 template <typename T>
-T checked_count(const CliParser& cli, const std::string& flag, std::int64_t min) {
+T checked_count(const CliParser& cli, const std::string& flag, std::int64_t min,
+                std::uint64_t limit = std::numeric_limits<std::uint64_t>::max()) {
   const std::int64_t value = cli.get_int(flag);
   const std::uint64_t max = std::min<std::uint64_t>(
-      std::numeric_limits<T>::max(), std::numeric_limits<std::int64_t>::max());
+      {limit, std::numeric_limits<T>::max(),
+       std::numeric_limits<std::int64_t>::max()});
   PCMAX_REQUIRE(value >= min && static_cast<std::uint64_t>(value) <= max,
                 "--" + flag + " must be between " + std::to_string(min) +
                     " and " + std::to_string(max) + ", got " +
@@ -139,12 +142,9 @@ std::unique_ptr<Solver> make_solver(const std::string& name,
         ladder = std::make_unique<ResilientSolver>(std::move(options));
       }
       [[nodiscard]] std::string name() const override { return ladder->name(); }
-      SolverResult solve(const Instance& instance) override {
-        return ladder->solve(instance);
-      }
-      SolverResult solve(const Instance& instance,
-                         const SolveContext& context) override {
-        return ladder->solve(instance, context);
+      SolverResult solve_impl(const Instance& instance,
+                              const SolveContext& context) override {
+        return ladder->solve(instance, context.without_scopes());
       }
       std::unique_ptr<Solver> preferred;  // stage 1, owned (ladder borrows it)
       std::unique_ptr<ResilientSolver> ladder;
@@ -216,8 +216,7 @@ int cmd_solve(int argc, const char* const* argv) {
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& instance = instances[i];
     // A fresh per-instance context: each instance gets the full wall-clock
-    // budget (0 = unlimited), enforced through the v2 SolveContext instead
-    // of the deprecated per-struct cancel fields.
+    // budget (0 = unlimited).
     const SolverResult result =
         solver->solve(instance, SolveContext::with_time_limit_ms(time_limit_ms));
     result.schedule.validate(instance);
@@ -457,7 +456,9 @@ int cmd_batch(int argc, const char* const* argv) {
   options.shards = checked_count<unsigned>(cli, "shards", 1);
   const auto window = checked_count<std::size_t>(cli, "async-window", 0);
   options.lane_width = checked_count<unsigned>(cli, "lane-width", 1);
-  options.lanes = checked_count<unsigned>(cli, "lanes", 0);
+  // Only workers lease lanes, and every shard has at least one worker.
+  options.lanes = checked_count<unsigned>(
+      cli, "lanes", 0, std::max(options.workers, options.shards));
   options.queue_capacity = checked_count<std::size_t>(cli, "queue", 0);
   options.cache_capacity = checked_count<std::size_t>(cli, "cache", 0);
   options.epsilon = cli.get_double("epsilon");
@@ -608,6 +609,9 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  } catch (const std::bad_alloc&) {
+    std::cerr << "error: out of memory\n";
     return 1;
   }
 }
