@@ -12,8 +12,7 @@ ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {
 }
 
 std::optional<CacheEntry> ResultCache::lookup(const Fingerprint& key,
-                                              const Instance& canonical,
-                                              bool count_miss) {
+                                              const Instance& canonical) {
   obs::Metrics* metrics = obs::current();
   std::lock_guard lock(mutex_);
   const auto it = map_.find(key);
@@ -22,13 +21,9 @@ std::optional<CacheEntry> ResultCache::lookup(const Fingerprint& key,
   const bool collision =
       it != map_.end() && it->second->second.canonical != canonical;
   if (it == map_.end() || collision) {
-    if (count_miss) {
-      if (collision) ++stats_.collisions;
-      ++stats_.misses;
-      if (metrics != nullptr) {
-        metrics->add(0, obs::Counter::kServiceCacheMisses);
-      }
-    }
+    if (collision) ++stats_.collisions;
+    ++stats_.misses;
+    if (metrics != nullptr) metrics->add(0, obs::Counter::kServiceCacheMisses);
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency

@@ -58,12 +58,9 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the entry under `key` after verifying it matches `canonical`
-  /// (collision check), refreshing its recency. Counts a hit, or a miss
-  /// unless `count_miss` is false (a probe whose misses are looked up again
-  /// later, so each request is counted once).
+  /// (collision check), refreshing its recency. Counts a hit or a miss.
   [[nodiscard]] std::optional<CacheEntry> lookup(const Fingerprint& key,
-                                                 const Instance& canonical,
-                                                 bool count_miss = true);
+                                                 const Instance& canonical);
 
   /// Inserts (or refreshes) `entry` under `key`, evicting the LRU entry if
   /// the cache is full.

@@ -89,15 +89,10 @@ struct ServiceOptions {
   /// milliseconds from ADMISSION (queue wait spends budget); 0 = unlimited.
   std::int64_t default_time_limit_ms = 0;
 
-  /// Queue depth at dispatch at/above which a request degrades to the cheap
-  /// path ("queue-saturated"), counted against the request's OWN shard
-  /// (scaled to watermark / shards, min 1). 0 = the shard's full queue
-  /// capacity, i.e. degrade only while that queue is completely full behind
-  /// this request. Static policy only.
-  std::size_t saturation_watermark = 0;
-
   /// A request whose remaining budget is below this at dispatch degrades to
   /// the cheap path ("deadline-near") instead of starting a doomed PTAS.
+  /// One already below it at submission neither attaches to nor leads an
+  /// in-flight solve.
   std::int64_t deadline_near_ms = 5;
 
   /// Admission policy; kStatic preserves the PR 4 behavior exactly.
@@ -113,8 +108,9 @@ struct ServiceOptions {
   double shed_pressure = 1.9;
 
   /// Share one in-flight solve among concurrent duplicates of a
-  /// fingerprint (full-fidelity tier only). Duplicates always land on one
-  /// shard, so per-shard coalescing maps lose no matches.
+  /// fingerprint: a duplicate submitted while its leader is queued or
+  /// solving attaches to it (and re-solves if the leader degrades). false
+  /// skips only this in-flight map; the cache still answers repeats.
   bool coalesce = true;
 
   /// Circuit breaker over the full-fidelity rung; disabled = PR 4 behavior

@@ -1,8 +1,9 @@
 #include "service/shard.hpp"
 
-#include <algorithm>
+#include <exception>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/portfolio.hpp"
 #include "core/resilient_solver.hpp"
@@ -30,66 +31,20 @@ bool breaker_failure(const std::string& reason) {
   return reason == "deadline" || reason.rfind("resource-limit", 0) == 0;
 }
 
-/// RAII over one breaker consultation. Every admitted attempt must report
-/// exactly one verdict (see CircuitBreaker::on_abandon) or a half-open key
-/// wedges with its probe slot held forever; the destructor backstops every
-/// exit path — a request parked as a coalescing follower, a non-resource
-/// exception out of the solver — by reporting abandon when the scope unwinds
-/// with no explicit verdict.
-class BreakerAttempt {
- public:
-  BreakerAttempt(CircuitBreaker& breaker, const char* key)
-      : breaker_(breaker), key_(key) {}
-  ~BreakerAttempt() {
-    if (admitted_ && !reported_) breaker_.on_abandon(key_);
-  }
-  BreakerAttempt(const BreakerAttempt&) = delete;
-  BreakerAttempt& operator=(const BreakerAttempt&) = delete;
-
-  /// Consults CircuitBreaker::allow (hits fault site "breaker.allow", may
-  /// throw). True = this attempt is admitted and owes a verdict.
-  [[nodiscard]] bool allow() {
-    admitted_ = breaker_.allow(key_);
-    return admitted_;
-  }
-  void success() {
-    if (take()) breaker_.on_success(key_);
-  }
-  void failure() {
-    if (take()) breaker_.on_failure(key_);
-  }
-  void abandon() {
-    if (take()) breaker_.on_abandon(key_);
-  }
-
- private:
-  /// Claims the single verdict; false when not admitted or already reported.
-  bool take() {
-    if (!admitted_ || reported_) return false;
-    reported_ = true;
-    return true;
-  }
-
-  CircuitBreaker& breaker_;
-  const char* key_;
-  bool admitted_ = false;
-  bool reported_ = false;
-};
-
 }  // namespace
 
 ServiceShard::ServiceShard(
     int index, const ServiceOptions& options, std::size_t queue_capacity,
-    std::size_t cache_capacity, std::size_t saturation_watermark,
-    unsigned workers, ExecutorLanes* lanes,
+    std::size_t cache_capacity, unsigned workers, ExecutorLanes* lanes,
+    std::function<bool(const std::string&)> reserve_tenant,
     std::function<void(const std::string&)> release_tenant)
     : index_(index),
       options_(options),
       queue_capacity_(queue_capacity),
-      saturation_watermark_(saturation_watermark),
       queue_(std::make_unique<BoundedQueue<Pending>>(queue_capacity)),
       lanes_(lanes),
       breaker_(std::make_unique<CircuitBreaker>(options.breaker)),
+      reserve_tenant_(std::move(reserve_tenant)),
       release_tenant_(std::move(release_tenant)) {
   if (cache_capacity > 0) {
     cache_ = std::make_unique<ResultCache>(cache_capacity);
@@ -112,12 +67,123 @@ void ServiceShard::join() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-bool ServiceShard::push_blocking(Pending pending) {
-  return queue_->push(std::move(pending));
+void ServiceShard::submit(Pending pending) {
+  try {
+    fault_hit("service.shard.dispatch");
+  } catch (const ResourceLimitError& e) {
+    // An injected routing fault must neither lose the request nor leak a
+    // slot it never took: answer with a structured shed.
+    SolveResponse shed = make_shed_response(
+        pending.key, "shed:dispatch-fault", /*overload=*/true);
+    shed.notes["dispatch_fault"] = e.what();
+    finish(pending, std::move(shed), pending.enqueue_ns);
+    return;
+  }
+
+  // The one admission step. A leader stores its full-fidelity result in
+  // the cache BEFORE it leaves the in-flight map, so under this lock a
+  // duplicate finds either the leader or its cached result — never neither
+  // — and no fingerprint runs two full-fidelity solves at once.
+  pending.cache_note = cache_ != nullptr ? "miss" : "disabled";
+  std::optional<CacheEntry> hit;
+  bool over_quota = false;
+  {
+    std::lock_guard lock(inflight_mutex_);
+    if (cache_ != nullptr) {
+      try {
+        fault_hit("service.cache");
+        hit = cache_->lookup(pending.key, pending.canonical->instance());
+      } catch (const ResourceLimitError& e) {
+        // A failing cache must cost a recompute, never availability.
+        pending.cache_note = std::string("lookup-bypassed: ") + e.what();
+      }
+    }
+    if (!hit.has_value()) {
+      // A request whose budget is already nearly spent will degrade at
+      // dispatch: it neither shares nor leads a full-fidelity solve.
+      const bool single_flight = options_.coalesce && !deadline_near(pending);
+      const auto it =
+          single_flight ? inflight_.find(pending.key) : inflight_.end();
+      if (it != inflight_.end()) {
+        it->second.push_back(std::move(pending));
+        return;
+      }
+      // Tenant quota: a capped tenant may hold only its weighted share of
+      // the total queue capacity, counted across shards.
+      over_quota = !reserve_tenant_(pending.request.tenant);
+      if (!over_quota && single_flight) {
+        inflight_.emplace(pending.key, std::vector<Pending>{});
+        pending.leader = true;
+      }
+    }
+  }
+
+  if (hit.has_value()) {
+    // Lift the canonical-space assignment through THIS request's sort
+    // permutation: valid for its job numbering, same makespan.
+    SolveResponse response;
+    response.fingerprint = pending.key;
+    response.cache_hit = true;
+    response.makespan = hit->makespan;
+    response.algorithm = hit->algorithm;
+    response.proven_optimal = hit->proven_optimal;
+    response.schedule = pending.canonical->lift(hit->assignment);
+    response.schedule.validate(pending.request.instance);
+    response.notes["cache"] = "hit";
+    finish(pending, std::move(response), pending.enqueue_ns);
+    return;
+  }
+  if (over_quota) {
+    finish(pending,
+           make_shed_response(pending.key, "shed:tenant-quota",
+                              /*overload=*/false),
+           pending.enqueue_ns);
+    return;
+  }
+  enqueue(std::move(pending));
 }
 
-std::optional<ServiceShard::Pending> ServiceShard::try_push(Pending pending) {
-  return queue_->try_push(std::move(pending));
+void ServiceShard::enqueue(Pending pending) {
+  if (options_.shed_policy == ShedPolicy::kTiered) {
+    // Open-loop admission: a full shard queue sheds instead of blocking the
+    // submitter, so the arrival loop stays responsive under a storm.
+    std::optional<Pending> rejected = queue_->try_push(std::move(pending));
+    if (!rejected.has_value()) return;
+    release_tenant_(rejected->request.tenant);
+    std::vector<Pending> refused;
+    if (rejected->leader) refused = take_followers(rejected->key);
+    refused.push_back(std::move(*rejected));
+    for (Pending& request : refused) {
+      finish(request,
+             make_shed_response(request.key, "shed:queue-full",
+                                /*overload=*/true),
+             request.enqueue_ns);
+    }
+    return;
+  }
+  // A refused push destroys the request, so keep what the refusal needs.
+  const Fingerprint key = pending.key;
+  const bool leader = pending.leader;
+  const std::string tenant = pending.request.tenant;
+  if (queue_->push(std::move(pending))) return;
+  release_tenant_(tenant);
+  const Error closed("service is shutting down");
+  if (leader) {
+    for (Pending& follower : take_followers(key)) {
+      follower.promise.set_exception(std::make_exception_ptr(closed));
+    }
+  }
+  throw closed;
+}
+
+std::vector<ServiceShard::Pending> ServiceShard::take_followers(
+    const Fingerprint& key) {
+  std::lock_guard lock(inflight_mutex_);
+  const auto it = inflight_.find(key);
+  if (it == inflight_.end()) return {};
+  std::vector<Pending> followers = std::move(it->second);
+  inflight_.erase(it);
+  return followers;
 }
 
 ShardStats ServiceShard::stats() const {
@@ -138,8 +204,8 @@ ShardStats ServiceShard::stats() const {
 void ServiceShard::worker_loop() {
   while (auto pending = queue_->pop()) {
     // The tenant quota counts QUEUED requests; the slot frees at dispatch.
-    // Done here (not in process) so coalescing re-dispatch cannot
-    // double-free.
+    // Done here (not in process): followers sent back for their own solve
+    // never took one.
     release_tenant_(pending->request.tenant);
     process(std::move(*pending));
   }
@@ -148,24 +214,23 @@ void ServiceShard::worker_loop() {
 void ServiceShard::process(Pending pending) {
   const std::uint64_t dispatch_ns = obs::monotonic_ns();
   SolveResponse response;
+  std::exception_ptr error;
   try {
     try {
-      std::optional<SolveResponse> handled = handle(pending);
-      // A parked coalescing follower: its promise now belongs to the
-      // in-flight leader, which will resolve it on completion.
-      if (!handled.has_value()) return;
-      response = std::move(*handled);
+      response = handle(pending);
     } catch (const ResourceLimitError& e) {
       // A budget (or injected fault) tripped outside the resilient solver's
-      // own rungs: answer with the degraded path, never with an exception.
+      // own rungs: answer with the degraded path (MULTIFIT/LPT + polish,
+      // never cached), never with an exception.
       try {
-        response =
-            cheap_solve(pending, std::string("resource-limit: ") + e.what());
+        response = run_solver(pending, Tier::kLite,
+                              std::string("resource-limit: ") + e.what());
+        response.fingerprint = pending.key;
+        response.notes["cache"] = "skipped-degraded";
       } catch (const ResourceLimitError& inner) {
         // Even the degraded rung tripped: shed with provenance rather than
         // drop the request or retry a path that just proved unavailable.
-        response = make_shed_response(pending.request,
-                                      "shed:resource-exhausted",
+        response = make_shed_response(pending.key, "shed:resource-exhausted",
                                       /*overload=*/true);
         response.notes["resource_limit"] = inner.what();
       }
@@ -174,59 +239,66 @@ void ServiceShard::process(Pending pending) {
     // Typed pcmax errors (InvalidArgumentError, InternalError, ...) are
     // bugs or caller errors; deliver them through the future unchanged —
     // the service never converts a bug into a result.
-    pending.promise.set_exception(std::current_exception());
-    return;
+    error = std::current_exception();
   } catch (const std::exception& e) {
     // Unknown exceptions must not kill the worker or hang the future:
     // answer with a structured internal-error response.
-    response = internal_error_response(pending.request, e.what());
+    response = internal_error_response(e.what());
   } catch (...) {
-    response = internal_error_response(pending.request, "unknown exception");
+    response = internal_error_response("unknown exception");
   }
-  finish(pending, std::move(response), dispatch_ns);
+  // Leadership ends here, after handle() stored the result, whatever the
+  // outcome; a thrown error leaves no shareable result. The leader is
+  // answered first, so it never waits on its followers' deliveries or
+  // re-solves.
+  std::vector<Pending> followers;
+  if (pending.leader) followers = take_followers(pending.key);
+  if (error != nullptr) {
+    pending.promise.set_exception(error);
+  } else if (followers.empty()) {
+    finish(pending, std::move(response), dispatch_ns);
+  } else {
+    finish(pending, response, dispatch_ns);  // a copy: the followers share it
+  }
+  if (!followers.empty()) {
+    conclude_leadership(pending, std::move(followers),
+                        error == nullptr ? &response : nullptr);
+  }
 }
 
-std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
+bool ServiceShard::deadline_near(const Pending& pending) const {
+  return pending.deadline.has_limit() &&
+         pending.deadline.remaining_seconds() * 1000.0 <
+             static_cast<double>(options_.deadline_near_ms);
+}
+
+SolveResponse ServiceShard::handle(Pending& pending) {
   fault_hit("service.request");
   const CanonicalInstance& canonical = *pending.canonical;
   const Fingerprint& key = pending.key;
-
-  std::string cache_note = cache_ != nullptr ? "miss" : "disabled";
-  if (cache_ != nullptr) {
-    std::optional<SolveResponse> hit;
-    try {
-      fault_hit("service.cache");
-      hit = cached_response(pending, /*count_miss=*/true);
-    } catch (const ResourceLimitError& e) {
-      // A failing cache must cost a recompute, never availability.
-      cache_note = std::string("lookup-bypassed: ") + e.what();
-    }
-    if (hit.has_value()) return hit;
-  }
 
   // Admission decision: map the pressure signal (shard queue depth, deadline
   // headroom, breaker state) onto a solver tier — or shed outright.
   Tier tier = Tier::kFull;
   std::string forced_reason;
   bool breaker_blocked = false;
-  BreakerAttempt attempt(*breaker_, solver_key());
+  // Set once CircuitBreaker::allow (fault site "breaker.allow", may throw)
+  // admits this attempt: it then owes exactly one verdict (see on_abandon),
+  // or a half-open key wedges with its probe slot held forever.
+  bool admitted = false;
+  const auto allow = [&] { return admitted = breaker_->allow(solver_key()); };
   const std::size_t depth = queue_->size();
-  const bool deadline_near =
-      pending.deadline.has_limit() &&
-      pending.deadline.remaining_seconds() * 1000.0 <
-          static_cast<double>(options_.deadline_near_ms);
+  const bool near = deadline_near(pending);
   if (options_.shed_policy == ShedPolicy::kStatic) {
     // PR 4 semantics: a saturated queue or a nearly-spent deadline sends
     // the request down the cheap path instead of starting a doomed PTAS.
-    const std::size_t watermark =
-        saturation_watermark_ == 0 ? queue_capacity_ : saturation_watermark_;
-    if (depth >= watermark) {
+    if (depth >= queue_capacity_) {
       tier = Tier::kLite;
       forced_reason = "queue-saturated";
-    } else if (deadline_near) {
+    } else if (near) {
       tier = Tier::kLite;
       forced_reason = "deadline-near";
-    } else if (options_.breaker_enabled && !attempt.allow()) {
+    } else if (options_.breaker_enabled && !allow()) {
       breaker_blocked = true;
       tier = Tier::kLite;
       forced_reason = std::string("breaker-open:") + solver_key();
@@ -239,19 +311,16 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
     // failure would feed the breaker's streak — a storm of tiny-deadline
     // requests must degrade themselves (as under the static policy), not
     // trip the breaker for everyone else.
-    if (deadline_near) pressure += options_.lite_pressure;
+    if (near) pressure += options_.lite_pressure;
     // The breaker is only consulted when the request would otherwise take
     // the full-fidelity rung: its reject count mirrors skipped attempts.
     if (options_.breaker_enabled && pressure < options_.lite_pressure &&
-        !attempt.allow()) {
+        !allow()) {
       breaker_blocked = true;
       pressure += 0.5;
     }
     if (pressure >= options_.shed_pressure) {
-      SolveResponse shed = make_shed_response(pending.request, "shed:pressure",
-                                              /*overload=*/true);
-      shed.fingerprint = key;
-      return shed;
+      return make_shed_response(key, "shed:pressure", /*overload=*/true);
     }
     if (pressure >= options_.heavy_pressure) {
       tier = Tier::kHeuristic;
@@ -263,123 +332,58 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
       if (breaker_blocked) {
         forced_reason = std::string("breaker-open:") + solver_key();
       } else {
-        forced_reason = deadline_near ? "deadline-near" : "pressure-lite";
+        forced_reason = near ? "deadline-near" : "pressure-lite";
       }
     }
-  }
-
-  // Coalescing gate (full-fidelity tier only): the first miss of a
-  // fingerprint leads; concurrent duplicates park behind it and receive
-  // the leader's canonical-space result instead of racing redundant solves.
-  // Duplicates always route to this shard, so the per-shard map is as
-  // exhaustive as the PR 7 global one.
-  bool leader = false;
-  if (tier == Tier::kFull && options_.coalesce) {
-    std::lock_guard lock(inflight_mutex_);
-    const auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      // The in-flight leader owns the solve and its breaker verdict; this
-      // request's own admission ends verdict-less. Release it (a half-open
-      // probe slot must not wedge behind a parked follower).
-      attempt.abandon();
-      it->second.followers.push_back(std::move(pending));
-      return std::nullopt;
-    }
-    inflight_.emplace(key, Inflight{});
-    leader = true;
   }
 
   SolveResponse response;
   try {
-    try {
-      response = run_solver(pending, tier, forced_reason);
-    } catch (const ResourceLimitError&) {
-      attempt.failure();
-      throw;
-    }
-    // Every admitted full-fidelity attempt reports exactly one verdict
-    // (the BreakerAttempt destructor abandons any path missed here, e.g. a
-    // non-resource exception). "cancelled" is the caller's doing, not the
-    // solver's — it must not feed the failure streak, but it must release
-    // a probe slot.
-    const std::string& reason = response.degradation_reason;
-    if (reason == "none") {
-      attempt.success();
-    } else if (breaker_failure(reason)) {
-      attempt.failure();
-    } else {
-      attempt.abandon();
-    }
-    if (breaker_blocked) response.notes["breaker"] = "open-rerouted";
-    response.fingerprint = key;
-    response.notes["cache"] = cache_note;
-
-    // Only full-fidelity results enter the cache: a degraded answer must
-    // never be served to a future caller with a healthy budget.
-    if (cache_ != nullptr && response.degradation_reason == "none") {
-      try {
-        fault_hit("service.cache");
-        CacheEntry entry{canonical.instance(),
-                         canonical.project(response.schedule),
-                         response.makespan, response.algorithm,
-                         response.proven_optimal};
-        cache_->insert(key, std::move(entry));
-      } catch (const ResourceLimitError& e) {
-        response.notes["cache"] = std::string("store-skipped: ") + e.what();
-      }
-    }
+    response = run_solver(pending, tier, forced_reason);
+  } catch (const ResourceLimitError&) {
+    if (admitted) breaker_->on_failure(solver_key());
+    throw;
   } catch (...) {
-    // Leadership must not leak: hand parked followers back to the pipeline
-    // (there is no shareable result) before the error propagates.
-    if (leader) conclude_leadership(key, canonical, nullptr);
+    // A non-resource exception is no verdict on the rung: release the slot.
+    if (admitted) breaker_->on_abandon(solver_key());
     throw;
   }
-  if (leader) conclude_leadership(key, canonical, &response);
-  return response;
-}
-
-std::optional<SolveResponse> ServiceShard::cached_response(
-    const Pending& pending, bool count_miss) {
-  const CanonicalInstance& canonical = *pending.canonical;
-  const std::optional<CacheEntry> entry =
-      cache_->lookup(pending.key, canonical.instance(), count_miss);
-  if (!entry.has_value()) return std::nullopt;
-  SolveResponse response;
-  response.fingerprint = pending.key;
-  response.cache_hit = true;
-  response.makespan = entry->makespan;
-  response.algorithm = entry->algorithm;
-  response.proven_optimal = entry->proven_optimal;
-  // Lift the canonical-space assignment through THIS request's sort
-  // permutation: valid for its job numbering, same makespan.
-  response.schedule = canonical.lift(entry->assignment);
-  response.schedule.validate(pending.request.instance);
-  response.notes["cache"] = "hit";
-  return response;
-}
-
-bool ServiceShard::answer_from_cache(Pending& pending) {
-  if (cache_ == nullptr) return false;
-  std::optional<SolveResponse> hit =
-      cached_response(pending, /*count_miss=*/false);
-  if (!hit.has_value()) return false;
-  finish(pending, std::move(*hit), pending.enqueue_ns);
-  return true;
-}
-
-void ServiceShard::conclude_leadership(const Fingerprint& key,
-                                       const CanonicalInstance& canonical,
-                                       const SolveResponse* response) {
-  std::vector<Pending> followers;
-  {
-    std::lock_guard lock(inflight_mutex_);
-    const auto it = inflight_.find(key);
-    if (it == inflight_.end()) return;
-    followers = std::move(it->second.followers);
-    inflight_.erase(it);
+  // "cancelled" is the caller's doing, not the solver's — it must not feed
+  // the failure streak, but it must release a probe slot.
+  if (admitted) {
+    const std::string& reason = response.degradation_reason;
+    if (reason == "none") {
+      breaker_->on_success(solver_key());
+    } else if (breaker_failure(reason)) {
+      breaker_->on_failure(solver_key());
+    } else {
+      breaker_->on_abandon(solver_key());
+    }
   }
-  if (followers.empty()) return;
+  if (breaker_blocked) response.notes["breaker"] = "open-rerouted";
+  response.fingerprint = key;
+  response.notes["cache"] = pending.cache_note;
 
+  // Only full-fidelity results enter the cache: a degraded answer must
+  // never be served to a future caller with a healthy budget.
+  if (cache_ != nullptr && response.degradation_reason == "none") {
+    try {
+      fault_hit("service.cache");
+      CacheEntry entry{canonical.instance(),
+                       canonical.project(response.schedule),
+                       response.makespan, response.algorithm,
+                       response.proven_optimal};
+      cache_->insert(key, std::move(entry));
+    } catch (const ResourceLimitError& e) {
+      response.notes["cache"] = std::string("store-skipped: ") + e.what();
+    }
+  }
+  return response;
+}
+
+void ServiceShard::conclude_leadership(const Pending& leader,
+                                       std::vector<Pending> followers,
+                                       const SolveResponse* response) {
   // Degraded (or absent) leader results are never shared: a follower with a
   // healthy budget must not inherit a neighbour's degradation.
   if (response == nullptr || response->degradation_reason != "none") {
@@ -390,7 +394,8 @@ void ServiceShard::conclude_leadership(const Fingerprint& key,
   // Share the result in CANONICAL space: each follower lifts it through its
   // OWN sort permutation, so its response is exactly what a fresh solve or
   // cache hit of its submitted ordering would have produced.
-  const std::vector<int> assignment = canonical.project(response->schedule);
+  const std::vector<int> assignment =
+      leader.canonical->project(response->schedule);
   for (Pending& follower : followers) {
     const std::uint64_t delivery_ns = obs::monotonic_ns();
     try {
@@ -410,14 +415,6 @@ void ServiceShard::conclude_leadership(const Fingerprint& key,
       follower.promise.set_exception(std::current_exception());
     }
   }
-}
-
-SolveResponse ServiceShard::cheap_solve(Pending& pending,
-                                        const std::string& reason) {
-  SolveResponse response = run_solver(pending, Tier::kLite, reason);
-  response.fingerprint = pending.key;
-  response.notes["cache"] = "skipped-degraded";
-  return response;
 }
 
 SolveResponse ServiceShard::run_solver(Pending& pending, Tier tier,
@@ -511,12 +508,14 @@ void ServiceShard::finish(Pending& pending, SolveResponse response,
   pending.promise.set_value(std::move(response));
 }
 
-SolveResponse ServiceShard::make_shed_response(const SolveRequest& request,
+// Shed and internal-error responses keep SolveResponse's one-machine
+// placeholder schedule: allocating Schedule(m) for an instance whose m just
+// exhausted memory would throw again inside the handler.
+SolveResponse ServiceShard::make_shed_response(const Fingerprint& key,
                                                const std::string& reason,
                                                bool overload) {
   SolveResponse response;
-  response.schedule = Schedule(std::max(1, request.instance.machines()));
-  response.variant = variant_name(request.instance.variant());
+  response.fingerprint = key;
   response.algorithm = "none";
   response.degradation_reason = reason;
   response.degraded = true;
@@ -532,11 +531,8 @@ SolveResponse ServiceShard::make_shed_response(const SolveRequest& request,
   return response;
 }
 
-SolveResponse ServiceShard::internal_error_response(
-    const SolveRequest& request, const std::string& what) {
+SolveResponse ServiceShard::internal_error_response(const std::string& what) {
   SolveResponse response;
-  response.schedule = Schedule(std::max(1, request.instance.machines()));
-  response.variant = variant_name(request.instance.variant());
   response.algorithm = "none";
   response.degradation_reason = "internal-error";
   response.degraded = true;

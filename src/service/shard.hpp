@@ -10,16 +10,19 @@
 //  * a RESULT-CACHE slice (capacity = total / shards): a fingerprint only
 //    ever probes one shard, so the slices partition the key space
 //    exhaustively — aggregate hit behavior matches the unsharded cache;
-//  * a COALESCING map: concurrent duplicates of a fingerprint always land
-//    on the same shard, so per-shard maps lose no matches;
+//  * an IN-FLIGHT map (single-flight): concurrent duplicates of a
+//    fingerprint always land on the same shard, so per-shard maps lose no
+//    matches;
 //  * a CIRCUIT BREAKER over its own full-fidelity traffic, and the tiered
 //    shed state (pressure is measured against THIS shard's queue).
 //
-// The pipeline (admission tiers, cache probe, coalescing leadership, solver
-// dispatch, breaker verdicts, structured sheds) is the PR 7 single-queue
-// pipeline verbatim, plus a cache probe at admission — a 1-shard service
-// IS the PR 7 service, and tests/service_shard_equivalence_test.cpp holds
-// N-shard responses byte-identical to it.
+// submit() runs on the submitting thread and makes each request, in one
+// step under the in-flight lock, a cache hit, a follower of its in-flight
+// leader (no queue slot, tenant slot, tier or breaker verdict), or a queued
+// request — its fingerprint's leader when coalescing is on. Workers run
+// only queued requests: tier, solve, breaker verdict, cache store, and
+// delivery to followers. tests/service_shard_equivalence_test.cpp holds
+// N-shard responses byte-identical to the 1-shard service.
 #pragma once
 
 #include <atomic>
@@ -65,20 +68,21 @@ class ServiceShard {
     /// engaged once submitted).
     std::optional<CanonicalInstance> canonical;
     Fingerprint key;          ///< request fingerprint (routing + dedup)
-    int shard = 0;            ///< destination shard index
+    std::string cache_note;   ///< admission probe: "miss", "disabled", ...
+    bool leader = false;      ///< registered in the in-flight map
   };
 
-  /// `queue_capacity` / `cache_capacity` / `saturation_watermark` are this
-  /// shard's slice of the service-wide options. `lanes` is the SHARED
-  /// executor-lane set (owned by the front end, outlives every shard).
-  /// `release_tenant` returns one global tenant-quota slot; called when a
-  /// worker pops a request (coalescing re-dispatch cannot double-free).
-  /// `workers` threads start immediately; if the OS refuses one, the
-  /// started ones are joined and ResourceLimitError is thrown.
+  /// `queue_capacity` / `cache_capacity` are this shard's slice of the
+  /// service-wide options. `lanes` is the SHARED executor-lane set (owned by
+  /// the front end, outlives every shard). `reserve_tenant` takes one global
+  /// tenant-quota slot for a request about to queue (false = over quota);
+  /// `release_tenant` returns it at pop or queue refusal. `workers` threads
+  /// start immediately; if the OS refuses one, the started ones are joined
+  /// and ResourceLimitError is thrown.
   ServiceShard(int index, const ServiceOptions& options,
                std::size_t queue_capacity, std::size_t cache_capacity,
-               std::size_t saturation_watermark, unsigned workers,
-               ExecutorLanes* lanes,
+               unsigned workers, ExecutorLanes* lanes,
+               std::function<bool(const std::string&)> reserve_tenant,
                std::function<void(const std::string&)> release_tenant);
 
   /// Joins if the front end has not already: close() + join() are
@@ -93,58 +97,35 @@ class ServiceShard {
   /// Joins the shard's workers (after close()).
   void join();
 
-  /// Admission-time cache probe, run on the submitting thread: a request
-  /// whose result is cached is answered here (and true returned), so it
-  /// never waits for a queue slot behind solves. Fires no fault site and
-  /// leaves a miss uncounted — the dispatch-time probe, which stays for
-  /// duplicates that arrive before their leader is cached, counts it.
-  [[nodiscard]] bool answer_from_cache(Pending& pending);
-
-  /// Static-policy enqueue: blocks while the queue is full; false once
-  /// closed.
-  [[nodiscard]] bool push_blocking(Pending pending);
-  /// Tiered-policy enqueue: returns the rejected request when the queue is
-  /// full or closed (the caller sheds it), nullopt on success.
-  [[nodiscard]] std::optional<Pending> try_push(Pending pending);
-
-  /// Stamps ids/shard/timing, bumps counters/metrics, resolves the promise.
-  /// Public so front-end rejects (quota, queue-full, dispatch fault) are
-  /// charged to the shard they were routed to.
-  void finish(Pending& pending, SolveResponse response,
-              std::uint64_t dispatch_ns);
-  /// A structured reject (no schedule). `overload` selects which shed
-  /// counter is charged (overload vs tenant quota).
-  [[nodiscard]] SolveResponse make_shed_response(const SolveRequest& request,
-                                                 const std::string& reason,
-                                                 bool overload);
+  /// Admits one routed request on the submitting thread (fault sites
+  /// "service.shard.dispatch", then "service.cache"): a cache hit, answered
+  /// here; a follower of its in-flight leader; a structured shed (dispatch
+  /// fault, tenant quota, tiered full queue); or a queued request. Static
+  /// policy: blocks while the queue is full; throws Error once it is closed.
+  /// A leader refused at the queue hands its followers the same outcome.
+  void submit(Pending pending);
 
   [[nodiscard]] ShardStats stats() const;
   [[nodiscard]] const CircuitBreaker& breaker() const { return *breaker_; }
-  [[nodiscard]] int index() const { return index_; }
 
  private:
   /// The solver rung a request is admitted to.
   enum class Tier { kFull, kLite, kHeuristic };
 
-  /// Followers parked behind one in-flight full-fidelity solve.
-  struct Inflight {
-    std::vector<Pending> followers;
-  };
-
+  /// Puts an admitted request on the queue (blocking or shedding by
+  /// policy); a refused leader hands its followers the same outcome.
+  void enqueue(Pending pending);
+  /// Removes `key` from the in-flight map and returns its followers.
+  [[nodiscard]] std::vector<Pending> take_followers(const Fingerprint& key);
   void worker_loop();
+  /// Runs one queued request (or a follower sent back for its own solve).
   void process(Pending pending);
-  /// The full pipeline: cache probe, admission decision, solve, cache
-  /// store, coalesced delivery. Returns nullopt when the request was parked
-  /// as a coalescing follower (the leader will resolve its promise). May
-  /// throw ResourceLimitError from a fault site.
-  [[nodiscard]] std::optional<SolveResponse> handle(Pending& pending);
-  /// The cached response for `pending`, lifted through its own sort
-  /// permutation, or nullopt on a miss (counted only when `count_miss`).
-  [[nodiscard]] std::optional<SolveResponse> cached_response(
-      const Pending& pending, bool count_miss);
-  /// The degraded path: MULTIFIT/LPT + polish, never the PTAS, no caching.
-  [[nodiscard]] SolveResponse cheap_solve(Pending& pending,
-                                          const std::string& reason);
+  /// The worker pipeline: admission tier, solve, breaker verdict, cache
+  /// store. May throw ResourceLimitError from a fault site.
+  [[nodiscard]] SolveResponse handle(Pending& pending);
+  /// True when `pending`'s remaining budget is below deadline_near_ms: a
+  /// full PTAS started now is doomed, so the request degrades.
+  [[nodiscard]] bool deadline_near(const Pending& pending) const;
   /// Runs the tier's solver on a leased lane — always on the CANONICAL
   /// twin, lifting the schedule back through the request's permutation, so
   /// the response is a pure function of (machines, job multiset, epsilon).
@@ -152,14 +133,22 @@ class ServiceShard {
   /// tier and names why.
   [[nodiscard]] SolveResponse run_solver(Pending& pending, Tier tier,
                                          const std::string& forced_reason);
+  /// Stamps ids/shard/timing, bumps counters/metrics, resolves the promise.
+  void finish(Pending& pending, SolveResponse response,
+              std::uint64_t dispatch_ns);
+  /// A structured reject (no schedule) of the request fingerprinted `key`.
+  /// `overload` selects which shed counter is charged (overload vs quota).
+  [[nodiscard]] SolveResponse make_shed_response(const Fingerprint& key,
+                                                 const std::string& reason,
+                                                 bool overload);
   /// An unknown worker exception turned into a structured response
   /// (counter service.internal_errors, note "internal_error").
-  [[nodiscard]] SolveResponse internal_error_response(
-      const SolveRequest& request, const std::string& what);
-  /// Hands the leader's canonical-space result to every parked follower
-  /// (or re-dispatches them when there is no shareable result).
-  void conclude_leadership(const Fingerprint& key,
-                           const CanonicalInstance& canonical,
+  [[nodiscard]] SolveResponse internal_error_response(const std::string& what);
+  /// Answers the `followers` taken off `leader`'s flight: hands each the
+  /// leader's canonical-space `response`, or sends each back for its own
+  /// solve when there is no shareable (full-fidelity) result.
+  void conclude_leadership(const Pending& leader,
+                           std::vector<Pending> followers,
                            const SolveResponse* response);
   [[nodiscard]] const char* solver_key() const {
     return options_.mode == ServiceMode::kPortfolio ? "portfolio" : "ptas";
@@ -167,18 +156,21 @@ class ServiceShard {
 
   const int index_;
   const ServiceOptions options_;
-  const std::size_t queue_capacity_;        ///< this shard's slice
-  const std::size_t saturation_watermark_;  ///< this shard's slice
+  const std::size_t queue_capacity_;    ///< this shard's slice
   std::unique_ptr<BoundedQueue<Pending>> queue_;
-  ExecutorLanes* lanes_;                    ///< shared, owned by the front end
-  std::unique_ptr<ResultCache> cache_;      ///< null when caching is disabled
+  ExecutorLanes* lanes_;                ///< shared, owned by the front end
+  std::unique_ptr<ResultCache> cache_;  ///< null when caching is disabled
   std::unique_ptr<CircuitBreaker> breaker_;
+  std::function<bool(const std::string&)> reserve_tenant_;
   std::function<void(const std::string&)> release_tenant_;
   std::vector<std::thread> workers_;
   bool joined_ = false;
 
+  /// Held for the whole admission step; nests the cache and tenant locks.
   std::mutex inflight_mutex_;
-  std::unordered_map<Fingerprint, Inflight, FingerprintHasher> inflight_;
+  /// Fingerprint of each in-flight leader -> the followers attached to it.
+  std::unordered_map<Fingerprint, std::vector<Pending>, FingerprintHasher>
+      inflight_;
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> degraded_{0};

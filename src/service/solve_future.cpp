@@ -83,7 +83,7 @@ SolveResponse SolveFuture::get_within_ms(std::int64_t ms) const {
   response.tenant = state_->tenant;
   response.fingerprint = state_->fingerprint;
   response.shard = state_->shard;
-  response.schedule = Schedule(std::max(1, state_->machines));
+  // The one-machine placeholder schedule: Schedule(m) may not fit in memory.
   response.algorithm = "none";
   response.degradation_reason = "shed:deadline";
   response.degraded = true;

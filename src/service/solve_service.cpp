@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
 
 namespace pcmax {
 
@@ -80,15 +79,14 @@ SolveService::SolveService(ServiceOptions options)
   const std::size_t shard_cache =
       options_.cache_capacity == 0 ? 0
                                    : slice(options_.cache_capacity, shards);
-  const std::size_t shard_watermark =
-      options_.saturation_watermark == 0
-          ? 0
-          : slice(options_.saturation_watermark, shards);
   shards_.reserve(shards);
   for (unsigned s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<ServiceShard>(
         static_cast<int>(s), options_, shard_queue, shard_cache,
-        shard_watermark, shard_workers[s], lanes_.get(),
+        shard_workers[s], lanes_.get(),
+        [this](const std::string& tenant) {
+          return reserve_tenant_slot(tenant);
+        },
         [this](const std::string& tenant) { release_tenant_slot(tenant); }));
   }
 }
@@ -156,75 +154,14 @@ SolveFuture SolveService::submit_prepared(SolveRequest request,
 SolveFuture SolveService::route_and_enqueue(ServiceShard::Pending pending) {
   pending.key = request_fingerprint(*pending.canonical, pending.epsilon);
   const std::size_t shard = shard_index(pending.key, shards_.size());
-  pending.shard = static_cast<int>(shard);
   pending.enqueue_ns = obs::monotonic_ns();
   pending.promise.stamp(pending.id, pending.request.instance.machines(),
                         pending.request.instance.jobs(),
-                        pending.request.tenant, pending.key, pending.shard);
+                        pending.request.tenant, pending.key,
+                        static_cast<int>(shard));
   SolveFuture future = pending.promise.get_future();
   bump(obs::Counter::kServiceShardDispatches);
-
-  try {
-    fault_hit("service.shard.dispatch");
-  } catch (const ResourceLimitError& e) {
-    // An injected routing fault must neither lose the request nor leak a
-    // queue slot it never took: answer with a structured shed.
-    SolveResponse shed =
-        shards_[shard]->make_shed_response(pending.request,
-                                           "shed:dispatch-fault",
-                                           /*overload=*/true);
-    shed.fingerprint = pending.key;
-    shed.notes["dispatch_fault"] = e.what();
-    shards_[shard]->finish(pending, std::move(shed), pending.enqueue_ns);
-    return future;
-  }
-
-  // Cache hits are answered here, on the submitting thread: they never wait
-  // behind queued solves for a slot, nor count against a tenant's quota.
-  if (shards_[shard]->answer_from_cache(pending)) return future;
-
-  // Tenant quota: a capped tenant may hold only its weighted share of the
-  // total queue capacity, counted across shards. The check-and-increment is
-  // atomic under tenant_mutex_; the slot is returned when a shard worker
-  // pops the request.
-  const std::string& tenant = pending.request.tenant;
-  const auto cap = tenant_caps_.find(tenant);
-  if (cap != tenant_caps_.end()) {
-    std::lock_guard lock(tenant_mutex_);
-    std::size_t& queued = tenant_queued_[tenant];
-    if (queued >= cap->second) {
-      SolveResponse shed =
-          shards_[shard]->make_shed_response(pending.request,
-                                             "shed:tenant-quota",
-                                             /*overload=*/false);
-      shed.fingerprint = pending.key;
-      shards_[shard]->finish(pending, std::move(shed), pending.enqueue_ns);
-      return future;
-    }
-    ++queued;
-  }
-
-  if (options_.shed_policy == ShedPolicy::kTiered) {
-    // Open-loop admission: a full shard queue sheds instead of blocking the
-    // submitter, so the arrival loop stays responsive under a storm.
-    std::optional<ServiceShard::Pending> rejected =
-        shards_[shard]->try_push(std::move(pending));
-    if (rejected.has_value()) {
-      release_tenant_slot(rejected->request.tenant);
-      SolveResponse shed =
-          shards_[shard]->make_shed_response(rejected->request,
-                                             "shed:queue-full",
-                                             /*overload=*/true);
-      shed.fingerprint = rejected->key;
-      shards_[shard]->finish(*rejected, std::move(shed),
-                             rejected->enqueue_ns);
-    }
-    return future;
-  }
-  if (!shards_[shard]->push_blocking(std::move(pending))) {
-    release_tenant_slot(tenant);
-    throw Error("service is shutting down");
-  }
+  shards_[shard]->submit(std::move(pending));
   return future;
 }
 
@@ -277,6 +214,16 @@ ServiceStats SolveService::stats() const {
     stats.shards.push_back(std::move(s));
   }
   return stats;
+}
+
+bool SolveService::reserve_tenant_slot(const std::string& tenant) {
+  const auto cap = tenant_caps_.find(tenant);
+  if (cap == tenant_caps_.end()) return true;
+  std::lock_guard lock(tenant_mutex_);
+  std::size_t& queued = tenant_queued_[tenant];
+  if (queued >= cap->second) return false;
+  ++queued;
+  return true;
 }
 
 void SolveService::release_tenant_slot(const std::string& tenant) {

@@ -21,17 +21,17 @@
 //    value-or-structured-shed, then() continuations that run exactly once,
 //    and deadline-aware get_within_ms that answers "shed:deadline" instead
 //    of hanging. submit is a thin wrapper returning the same future;
-//  * within a shard the PR 7 pipeline is unchanged: an LRU RESULT CACHE
-//    short-circuits fingerprint duplicates (hits lift the cached canonical
-//    schedule through the request's own sort permutation — a response is a
-//    pure function of machines + job multiset + epsilon), and is probed
-//    first at submission, so a hit never holds a queue slot; CONCURRENT
-//    DUPLICATES COALESCE behind one leader; the ADMISSION layer degrades
-//    per request (full -> lite -> heuristic -> structured shed) from a
-//    pressure signal over the shard's queue depth, deadline headroom and
-//    breaker state; a CIRCUIT BREAKER per shard skips a rung that keeps
-//    failing; PER-TENANT WEIGHTED QUOTAS are enforced GLOBALLY (across
-//    shards) at submission;
+//  * within a shard, SINGLE-FLIGHT runs at submission: one step probes the
+//    LRU RESULT CACHE (hits lift the cached canonical schedule through the
+//    request's own sort permutation — a response is a pure function of
+//    machines + job multiset + epsilon), attaches a CONCURRENT DUPLICATE
+//    to its in-flight leader, or queues the request — so neither a hit nor
+//    a duplicate ever holds a queue slot. PER-TENANT WEIGHTED QUOTAS are
+//    enforced GLOBALLY (across shards) in that step. At dispatch the
+//    ADMISSION layer degrades per request (full -> lite -> heuristic ->
+//    structured shed) from a pressure signal over the shard's queue depth,
+//    deadline headroom and breaker state; a CIRCUIT BREAKER per shard skips
+//    a rung that keeps failing;
 //  * solver parallelism comes from a SHARED set of persistent executor
 //    lanes (parallel/executor_lanes) spanning all shards: per-request
 //    parallelism is capped at the lane width, so one big PTAS solve can
@@ -83,12 +83,13 @@ class SolveService {
   /// Submits one request and returns its SolveFuture. Routing (canonical
   /// form, fingerprint, shard) happens here, on the caller's thread, and so
   /// does the answer to a request whose result is already cached: the
-  /// future comes back resolved. Any other request takes a queue slot:
-  /// under the static policy, submission blocks while the destination
-  /// shard's queue is full (backpressure); under the tiered policy, the
-  /// future resolves immediately with a structured shed response instead.
-  /// Tenant-quota rejects resolve the same way under either policy. Throws
-  /// Error once the service is shutting down.
+  /// future comes back resolved. A duplicate of a request in flight attaches
+  /// to it. Any other request takes a queue slot: under the static policy,
+  /// submission blocks while the destination shard's queue is full
+  /// (backpressure); under the tiered policy, the future resolves
+  /// immediately with a structured shed response instead. Tenant-quota
+  /// rejects resolve the same way under either policy. Throws Error once
+  /// the service is shutting down.
   [[nodiscard]] SolveFuture submit_async(SolveRequest request);
 
   /// Incremental fast path: submits a request whose canonical form (and
@@ -135,14 +136,17 @@ class SolveService {
   }
 
  private:
+  /// Takes a capped tenant's queue slot; false when it holds its share.
+  /// Passed to every shard, which calls it in its admission step.
+  [[nodiscard]] bool reserve_tenant_slot(const std::string& tenant);
   /// Returns a capped tenant's queue slot (no-op for uncapped tenants).
   /// Passed to every shard; shard workers call it at pop.
   void release_tenant_slot(const std::string& tenant);
   [[nodiscard]] double effective_epsilon(const SolveRequest& request) const;
   /// Shared submission head: id, deadline/token, effective epsilon.
   [[nodiscard]] ServiceShard::Pending make_pending(SolveRequest request);
-  /// Shared submission tail: fingerprint, shard routing, quota, enqueue.
-  /// `pending.canonical` must already be set.
+  /// Shared submission tail: fingerprint, shard routing, then the shard's
+  /// admission step. `pending.canonical` must already be set.
   [[nodiscard]] SolveFuture route_and_enqueue(ServiceShard::Pending pending);
 
   ServiceOptions options_;

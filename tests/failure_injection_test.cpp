@@ -308,7 +308,6 @@ TEST(FaultInjection, ServiceCacheStoreFaultSkipsCachingButAnswers) {
 TEST(FaultInjection, ServiceQueueDrainsUnderARequestFault) {
   // One fault in the middle of a batch must not stall the queue: every
   // future resolves, exactly one response is degraded.
-  const Instance instance = fault_instance();
   ServiceOptions options;
   options.workers = 2;
   options.cache_capacity = 0;  // force every request through a full solve
@@ -318,13 +317,18 @@ TEST(FaultInjection, ServiceQueueDrainsUnderARequestFault) {
   int degraded = 0;
   {
     SolveService service(options);
+    // Distinct instances: duplicates would attach to an in-flight leader at
+    // submission and never reach the worker's "service.request" site.
+    std::vector<Instance> instances;
     std::vector<SolveFuture> futures;
-    for (int i = 0; i < 6; ++i) {
-      futures.push_back(service.submit(SolveRequest{instance}));
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      instances.push_back(
+          generate_instance(InstanceFamily::kUniform1To100, 5, 30, seed, 0));
+      futures.push_back(service.submit(SolveRequest{instances.back()}));
     }
-    for (auto& future : futures) {
-      const SolveResponse response = future.get();
-      response.schedule.validate(instance);
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const SolveResponse response = futures[i].get();
+      response.schedule.validate(instances[i]);
       if (response.degraded) ++degraded;
     }
   }

@@ -39,7 +39,15 @@ TEST(ServiceGolden, BatchReportMatchesGoldenFile) {
   ServiceStats stats;
   {
     SolveService service(options);
-    responses = service.solve_batch(std::move(batch));
+    // The duplicate is submitted once the first response has landed, so it
+    // is a cache hit; submitted while the first is in flight, it would
+    // attach to it instead, and the report would depend on timing.
+    SolveFuture first = service.submit_async(std::move(batch[0]));
+    SolveFuture second = service.submit_async(std::move(batch[1]));
+    responses.push_back(first.get());
+    SolveFuture duplicate = service.submit_async(std::move(batch[2]));
+    responses.push_back(second.get());
+    responses.push_back(duplicate.get());
     stats = service.stats();
   }
   ASSERT_EQ(responses.size(), 3u);

@@ -179,7 +179,7 @@ TEST(ServiceOverload, TieredPressureWalksTheWholeLadder) {
 
 // A cache hit is answered at submission: with the only worker frozen and
 // its queue full, a cached request still comes back resolved, while a
-// fresh one is shed. Each request is counted once in the cache stats.
+// fresh one is shed. Each request probes the cache exactly once.
 TEST(ServiceOverload, CacheHitIsAnsweredAtAdmissionPastAFullQueue) {
   ServiceOptions options;
   options.workers = 1;
@@ -219,7 +219,8 @@ TEST(ServiceOverload, CacheHitIsAnsweredAtAdmissionPastAFullQueue) {
   EXPECT_EQ(response.queue_seconds, 0.0);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.cache.hits, 1u);
-  EXPECT_EQ(stats.cache.misses, 4u);  // the first solve and the 3 queued
+  // The first solve, the 3 queued and the queue-full shed.
+  EXPECT_EQ(stats.cache.misses, 5u);
   EXPECT_EQ(stats.requests, 6u);
 }
 
@@ -433,9 +434,8 @@ TEST(ServiceOverload, BreakerTripsReroutesAndRecovers) {
 }
 
 // A half-open probe that dies to a NON-resource exception must abandon its
-// probe slot (the BreakerAttempt guard), never leak it: before the guard,
-// the leaked slot made allow() reject every future attempt, disabling the
-// full-fidelity tier forever.
+// probe slot, never leak it: a leaked slot makes allow() reject every
+// future attempt, disabling the full-fidelity tier forever.
 TEST(ServiceOverload, UnknownExceptionDuringProbeReleasesTheSlot) {
   ServiceOptions options;
   options.workers = 1;
@@ -479,10 +479,10 @@ TEST(ServiceOverload, UnknownExceptionDuringProbeReleasesTheSlot) {
   EXPECT_EQ(service.breaker().state("ptas"), BreakerState::kClosed);
 }
 
-// A duplicate admitted as the half-open PROBE that then parks behind an
-// in-flight leader must release its probe slot as it parks — the leader
-// owns the solve's verdict, and a parked follower reports none.
-TEST(ServiceOverload, ParkedFollowerReleasesItsHalfOpenProbeSlot) {
+// A duplicate of a frozen leader attaches to it at submission and never
+// consults the breaker: while the breaker is half-open, the probe slot goes
+// to the next fresh request, which closes it.
+TEST(ServiceOverload, DuplicateOfAFrozenLeaderTakesNoProbeSlot) {
   // Hit 1 of bisection.probe freezes the leader mid-solve; hits 2-3 throw,
   // tripping the breaker behind it; later hits pass.
   GateThenThrowHandler handler("bisection.probe", /*throw_from=*/2,
@@ -517,22 +517,19 @@ TEST(ServiceOverload, ParkedFollowerReleasesItsHalfOpenProbeSlot) {
   }
   ASSERT_EQ(service.breaker().state("ptas"), BreakerState::kHalfOpen);
 
-  // The duplicate is admitted as probe #1, finds the frozen leader in
-  // flight, and parks — abandoning the probe slot on the way.
+  // The duplicate attaches to the frozen leader when submit returns, with
+  // no breaker consultation: no probe taken, none abandoned.
   SolveFuture follower = service.submit(SolveRequest{shared});
-  while (service.breaker().stats("ptas").abandons == 0) {
-    std::this_thread::yield();
-  }
+  EXPECT_EQ(service.breaker().stats("ptas").probes, 0u);
+  EXPECT_EQ(service.breaker().stats("ptas").abandons, 0u);
   EXPECT_EQ(service.breaker().state("ptas"), BreakerState::kHalfOpen);
 
-  // The slot is free again: a fresh request is admitted as probe #2,
-  // succeeds, and closes the breaker (with the leak, every attempt from
-  // here on was rejected with "breaker-open:ptas").
+  // Probe #1 goes to a fresh request, which succeeds and closes the breaker.
   const SolveResponse probe =
       service.submit(SolveRequest{ptas_instance(55)}).get();
   EXPECT_EQ(probe.degradation_reason, "none");
   EXPECT_EQ(service.breaker().state("ptas"), BreakerState::kClosed);
-  EXPECT_EQ(service.breaker().stats("ptas").probes, 2u);
+  EXPECT_EQ(service.breaker().stats("ptas").probes, 1u);
 
   handler.release();
   const SolveResponse led = leader.get();
@@ -541,6 +538,81 @@ TEST(ServiceOverload, ParkedFollowerReleasesItsHalfOpenProbeSlot) {
   EXPECT_TRUE(shared_result.coalesced);
   EXPECT_EQ(shared_result.makespan, led.makespan);
 }
+
+// Single-flight happens at submission, so it works at any workers/shards
+// ratio: with ONE worker per shard and that worker frozen inside the
+// leader's solve, every permuted duplicate attaches to the leader instead
+// of queueing behind it (static policy) or being shed by a 1-slot queue
+// (tiered policy), and receives the canonical answer for its own ordering.
+class SingleFlight : public ::testing::TestWithParam<ShedPolicy> {};
+
+TEST_P(SingleFlight, DuplicatesOfAFrozenLeaderAttachWithoutQueueing) {
+  const Instance instance = ptas_instance(9);
+  constexpr int kDuplicates = 7;
+  // Permutation d rotates the job list by d + 1 places.
+  std::vector<Instance> duplicates;
+  for (int d = 0; d < kDuplicates; ++d) {
+    std::vector<Time> times(instance.times().begin(), instance.times().end());
+    std::rotate(times.begin(), times.begin() + d + 1, times.end());
+    duplicates.emplace_back(instance.machines(), std::move(times));
+  }
+
+  // The canonical answers, from an idle uncached single-worker service.
+  std::vector<SolveResponse> canonical;
+  {
+    ServiceOptions options;
+    options.workers = 1;
+    options.cache_capacity = 0;
+    SolveService service(options);
+    for (const Instance& duplicate : duplicates) {
+      canonical.push_back(service.submit(SolveRequest{duplicate}).get());
+      ASSERT_EQ(canonical.back().degradation_reason, "none");
+    }
+  }
+
+  GateHandler gate("bisection.probe");
+  FaultScope scope(gate);
+  ServiceOptions options;
+  options.shards = 4;
+  options.workers = 4;  // one worker per shard
+  options.shed_policy = GetParam();
+  // Tiered: a 1-slot queue per shard, so nothing attaches by queueing.
+  if (GetParam() == ShedPolicy::kTiered) options.queue_capacity = 4;
+  SolveService service(options);
+
+  SolveFuture leader = service.submit(SolveRequest{instance});
+  gate.wait_until_blocked();  // the shard's only worker is frozen
+  std::vector<SolveFuture> futures;
+  for (const Instance& duplicate : duplicates) {
+    futures.push_back(service.submit(SolveRequest{duplicate}));
+  }
+  gate.release();
+
+  EXPECT_EQ(leader.get().degradation_reason, "none");
+  for (int d = 0; d < kDuplicates; ++d) {
+    const SolveResponse response = futures[static_cast<std::size_t>(d)].get();
+    const SolveResponse& expected = canonical[static_cast<std::size_t>(d)];
+    EXPECT_TRUE(response.coalesced) << d << ": " << response.degradation_reason;
+    EXPECT_EQ(response.degradation_reason, "none") << d;
+    EXPECT_EQ(response.makespan, expected.makespan) << d;
+    const Instance& ordering = duplicates[static_cast<std::size_t>(d)];
+    EXPECT_EQ(response.schedule.assignment(ordering),
+              expected.schedule.assignment(ordering))
+        << d;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kDuplicates));
+  EXPECT_LE(stats.queue_high_watermark, 1u);  // only the leader ever queued
+}
+
+std::string policy_test_name(const ::testing::TestParamInfo<ShedPolicy>& info) {
+  return info.param == ShedPolicy::kStatic ? "static" : "tiered";
+}
+
+INSTANTIATE_TEST_SUITE_P(ServiceOverload, SingleFlight,
+                         ::testing::Values(ShedPolicy::kStatic,
+                                           ShedPolicy::kTiered),
+                         policy_test_name);
 
 // Under the tiered policy a nearly spent deadline weighs at least
 // lite_pressure: the request degrades itself ("deadline-near", like the
